@@ -105,7 +105,7 @@ std::vector<Arrival> MakeWorkload(size_t count, double base_rate,
     Arrival a;
     a.at = t;
     a.gateway = size_t(rng.UniformInt(0, int64_t(kGateways) - 1));
-    a.category = rng.Zipf(kCategories, 1.1) - 1;
+    a.category = rng.Zipf(kCategories, 1.1);  // 0-based rank
     a.conjunctive = rng.Bernoulli(0.2);
     out.push_back(a);
   }
@@ -240,7 +240,8 @@ ModeResult RunMode(const std::string& name, bool cache, bool batch,
       hits += net.peer(p)->cache()->stats().hits;
       misses += net.peer(p)->cache()->stats().misses;
     }
-    res.shed += net.peer(p)->frontend()->stats().shed;
+    const GridVinePeer& peer = *net.peer(p);
+    if (peer.frontend() != nullptr) res.shed += peer.frontend()->stats().shed;
     res.batch_items += net.peer(p)->counters().batch_items;
   }
   res.hit_rate = (hits + misses) > 0 ? double(hits) / double(hits + misses) : 0;

@@ -309,7 +309,10 @@ int main(int argc, char** argv) {
       } else {
         QueryFrontend::Stats total;
         for (size_t i = 0; i < net.size(); ++i) {
-          QueryFrontend::Stats s = net.peer(i)->frontend()->stats();
+          // Peers that never served a query have no frontend to report.
+          const QueryFrontend* f = std::as_const(*net.peer(i)).frontend();
+          if (f == nullptr) continue;
+          QueryFrontend::Stats s = f->stats();
           total.submitted += s.submitted;
           total.started += s.started;
           total.completed += s.completed;

@@ -1,6 +1,7 @@
 #include "common/hash.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 
 namespace gridvine {
 
@@ -49,16 +50,26 @@ namespace {
 // punctuation band between '9' and 'a' (11), 'a'-'z' (12..37), above (38).
 // The mapping is monotone in (case-folded) ASCII, which is what makes the
 // hash order-preserving; characters within one band collide by design.
+// Case folding is ASCII-only ('A'-'Z'), as std::tolower in the "C" locale.
 constexpr int kRadix = 39;
 
-int CharDigit(unsigned char c) {
-  c = static_cast<unsigned char>(std::tolower(c));
+constexpr int CharDigit(unsigned char c) {
+  if (c >= 'A' && c <= 'Z') c = static_cast<unsigned char>(c - 'A' + 'a');
   if (c < '0') return 0;
   if (c <= '9') return 1 + (c - '0');
   if (c < 'a') return 11;  // punctuation between digits and letters
   if (c <= 'z') return 12 + (c - 'a');
   return kRadix - 1;
 }
+
+constexpr std::array<uint8_t, 256> kDigitOf = [] {
+  std::array<uint8_t, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    table[size_t(c)] =
+        static_cast<uint8_t>(CharDigit(static_cast<unsigned char>(c)));
+  }
+  return table;
+}();
 
 }  // namespace
 
@@ -74,29 +85,40 @@ Key OrderPreservingHash::SubtreeFor(std::string_view value_prefix) const {
 }
 
 Key OrderPreservingHash::operator()(std::string_view data) const {
-  // Interpret the string as the fraction sum_i digit_i / radix^(i+1) and emit
-  // `depth_` bits of its binary expansion using exact long multiplication on
-  // the digit vector (avoids double rounding, preserving order for long
-  // shared prefixes).
-  constexpr size_t kMaxDigits = 24;  // 24 digits * log2(38) > 125 bits
-  int digits[kMaxDigits];
-  size_t n = data.size() < kMaxDigits ? data.size() : kMaxDigits;
-  for (size_t i = 0; i < n; ++i) {
-    digits[i] = CharDigit(static_cast<unsigned char>(data[i]));
+  // Interpret the first kMaxDigits characters as the fraction N / D with
+  // N = sum_i digit_i * radix^(kMaxDigits-1-i) and D = radix^kMaxDigits, and
+  // emit `depth_` bits of its binary expansion. The arithmetic is exact
+  // (D = 39^24 < 2^127, so 2N < 2D fits 128 bits): no double rounding, so
+  // order survives long shared prefixes.
+  constexpr size_t kMaxDigits = 24;
+  constexpr size_t kHalf = kMaxDigits / 2;  // 39^12 < 2^64
+  using u128 = unsigned __int128;
+  constexpr uint64_t kHalfPower = [] {
+    uint64_t p = 1;
+    for (size_t i = 0; i < kHalf; ++i) p *= kRadix;
+    return p;
+  }();
+  constexpr u128 kDenominator = u128(kHalfPower) * kHalfPower;
+  // Each half of the digit window accumulates in 64 bits; the two chains are
+  // independent, and only their combination needs 128-bit arithmetic.
+  auto digit = [&data](size_t i) -> uint64_t {
+    return i < data.size() ? kDigitOf[static_cast<unsigned char>(data[i])] : 0;
+  };
+  uint64_t high = 0, low = 0;
+  for (size_t i = 0; i < kHalf; ++i) {
+    high = high * kRadix + digit(i);
+    low = low * kRadix + digit(kHalf + i);
   }
-  for (size_t i = n; i < kMaxDigits; ++i) digits[i] = 0;
+  u128 n = u128(high) * kHalfPower + low;
 
-  std::string bits;
-  bits.reserve(static_cast<size_t>(depth_));
-  for (int b = 0; b < depth_; ++b) {
-    // Multiply the fractional number by 2; the carry out is the next bit.
-    int carry = 0;
-    for (size_t i = kMaxDigits; i-- > 0;) {
-      int v = digits[i] * 2 + carry;
-      digits[i] = v % kRadix;
-      carry = v / kRadix;
-    }
-    bits.push_back(carry ? '1' : '0');
+  std::string bits(static_cast<size_t>(std::max(depth_, 0)), '0');
+  for (char& bit : bits) {
+    // Doubling the fraction: the integer part carried out is the next bit.
+    // Branch-free, since the bits of a hash are close to coin flips.
+    n <<= 1;
+    const bool carry = n >= kDenominator;
+    n -= kDenominator & -u128(carry);
+    bit = static_cast<char>('0' + carry);
   }
   return Key::FromBits(bits).value();
 }

@@ -35,6 +35,16 @@ size_t HashMapBytes(const M& m) {
          m.size() * (sizeof(typename M::value_type) + 2 * sizeof(void*));
 }
 
+/// std::deque, libstdc++ layout: even an empty deque holds a node map (at
+/// least 8 pointers) and one 512-byte node (or one element, if larger).
+template <typename T>
+size_t DequeBytes(size_t elements) {
+  const size_t per_node = sizeof(T) < 512 ? 512 / sizeof(T) : 1;
+  const size_t nodes = elements / per_node + 1;
+  const size_t map_slots = nodes + 2 > 8 ? nodes + 2 : 8;
+  return map_slots * sizeof(void*) + nodes * per_node * sizeof(T);
+}
+
 }  // namespace gridvine
 
 #endif  // GRIDVINE_COMMON_MEM_ESTIMATE_H_

@@ -119,12 +119,14 @@ void GridVineNetwork::ScheduleHealthTick() {
 
 size_t GridVineNetwork::MemoryFootprint(
     std::vector<std::pair<std::string, size_t>>* breakdown) const {
-  size_t overlay = 0, stores = 0, caches = 0, peers = 0;
+  size_t overlay = 0, stores = 0, caches = 0, frontends = 0, peers = 0;
   for (const auto& p : peers_) {
-    overlay += p->overlay()->MemoryFootprint();
-    stores += p->local_db().MemoryFootprint();
-    if (p->cache()) caches += p->cache()->MemoryFootprint();
-    peers += p->MemoryFootprint();
+    const GridVinePeer& peer = *p;
+    overlay += peer.overlay()->MemoryFootprint();
+    stores += peer.local_db().MemoryFootprint();
+    if (peer.cache()) caches += peer.cache()->MemoryFootprint();
+    if (peer.frontend()) frontends += peer.frontend()->MemoryFootprint();
+    peers += peer.MemoryFootprint();
   }
   const size_t engine = engine_ ? engine_->MemoryFootprint()
                                 : sim_.MemoryFootprint();
@@ -136,6 +138,7 @@ size_t GridVineNetwork::MemoryFootprint(
     breakdown->emplace_back("peers.overlay", overlay);
     breakdown->emplace_back("peers.store", stores);
     breakdown->emplace_back("peers.cache", caches);
+    breakdown->emplace_back("peers.frontend", frontends);
     breakdown->emplace_back(engine_ ? "engine.sharded" : "engine.sim", engine);
   }
   return total;

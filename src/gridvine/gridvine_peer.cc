@@ -63,12 +63,15 @@ GridVinePeer::GridVinePeer(Simulator* sim, Network* network, Rng rng,
                            PGridPeer::Options overlay_options)
     : sim_(sim),
       network_(network),
-      rng_(rng),
       options_(options),
       hash_(options.key_depth) {
   overlay_options.key_depth = options.key_depth;
-  overlay_ = std::make_unique<PGridPeer>(sim, network, rng_.Fork(),
+  // The overlay is seeded from the first draw of `rng` and the jitter stream
+  // from the second, so the overlay's routing streams do not depend on what
+  // the mediation layer draws.
+  overlay_ = std::make_unique<PGridPeer>(sim, network, rng.Fork(),
                                          overlay_options);
+  rng_ = CompactRng(rng);
   overlay_->SetExtensionHandler(
       [this](NodeId origin, std::shared_ptr<const MessageBody> payload,
              int hops) { OnExtensionMessage(origin, std::move(payload), hops); });
@@ -87,12 +90,28 @@ GridVinePeer::GridVinePeer(Simulator* sim, Network* network, Rng rng,
     sopts.ttl = options_.stats.ttl;
     stats_cache_ = std::make_unique<StatsCache>(sopts);
   }
-  frontend_ = std::make_unique<QueryFrontend>(sim, this);
 }
 
 GridVinePeer::~GridVinePeer() = default;
 
+QueryFrontend* GridVinePeer::frontend() {
+  if (frontend_ == nullptr) {
+    frontend_ = std::make_unique<QueryFrontend>(sim_, this);
+  }
+  return frontend_.get();
+}
+
 // --- Storage mirroring --------------------------------------------------------
+
+const TripleStore& GridVinePeer::local_db() const {
+  static const TripleStore kEmpty;
+  return local_db_ ? *local_db_ : kEmpty;
+}
+
+TripleStore& GridVinePeer::MutableLocalDb() {
+  if (local_db_ == nullptr) local_db_ = std::make_unique<TripleStore>();
+  return *local_db_;
+}
 
 void GridVinePeer::OnStorageChange(UpdateOp op, const Key& /*key*/,
                                    const std::string& value) {
@@ -102,9 +121,9 @@ void GridVinePeer::OnStorageChange(UpdateOp op, const Key& /*key*/,
   if (op == UpdateOp::kInsert) {
     // A triple indexed three times may land on this peer up to three times;
     // TripleStore::Insert is idempotent so DB_p stays duplicate-free.
-    local_db_.Insert(*triple).ok();
-  } else {
-    local_db_.Erase(*triple);
+    MutableLocalDb().Insert(*triple).ok();
+  } else if (local_db_ != nullptr) {
+    local_db_->Erase(*triple);
   }
 }
 
@@ -393,7 +412,7 @@ void GridVinePeer::PublishMetrics(MetricsRegistry* metrics) const {
   metrics->Counter("gv.bound_scans_answered") +=
       counters_.bound_scans_answered;
   metrics->Counter("gv.result_rows_sent") += counters_.result_rows_sent;
-  metrics->Counter("gv.local_db_triples") += local_db_.size();
+  metrics->Counter("gv.local_db_triples") += local_db().size();
   metrics->Gauge("gv.pending_queries") += double(pending_queries_.size());
   metrics->Gauge("gv.active_execs") += double(active_execs_.size());
   if (cache_) {
@@ -419,17 +438,18 @@ void GridVinePeer::PublishMetrics(MetricsRegistry* metrics) const {
     metrics->Counter("gv.stats.served") += counters_.stats_served;
     metrics->Counter("gv.stats.sketch_rebuilds") += counters_.sketch_rebuilds;
   }
-  if (frontend_) {
-    QueryFrontend::Stats fs = frontend_->stats();
-    metrics->Counter("gv.frontend.submitted") += fs.submitted;
-    metrics->Counter("gv.frontend.completed") += fs.completed;
-    metrics->Counter("gv.frontend.shed") += fs.shed;
-    metrics->Counter("gv.frontend.max_queue_depth") =
-        std::max(metrics->Counter("gv.frontend.max_queue_depth"),
-                 fs.max_queue_depth);
-    metrics->Gauge("gv.frontend.active") += double(fs.active);
-    metrics->Gauge("gv.frontend.queued") += double(fs.queued);
-  }
+  // A peer that never built its frontend reports zeros, so the key set does
+  // not depend on which peers served traffic.
+  const QueryFrontend::Stats fs =
+      frontend_ ? frontend_->stats() : QueryFrontend::Stats{};
+  metrics->Counter("gv.frontend.submitted") += fs.submitted;
+  metrics->Counter("gv.frontend.completed") += fs.completed;
+  metrics->Counter("gv.frontend.shed") += fs.shed;
+  metrics->Counter("gv.frontend.max_queue_depth") =
+      std::max(metrics->Counter("gv.frontend.max_queue_depth"),
+               fs.max_queue_depth);
+  metrics->Gauge("gv.frontend.active") += double(fs.active);
+  metrics->Gauge("gv.frontend.queued") += double(fs.queued);
   metrics->Counter("gv.batch.items") += counters_.batch_items;
   metrics->Counter("gv.batch.flushes") += counters_.batch_flushes;
   metrics->Counter("gv.batch.answered") += counters_.batches_answered;
@@ -821,19 +841,19 @@ void GridVinePeer::HandleQueryRequest(const QueryRequest& req) {
   if (cache_ != nullptr) {
     std::string pkey = "q|" + query->pattern().Serialize();
     if (const ExtentCache::Extent* hit =
-            cache_->Lookup(pkey, {}, local_db_.version())) {
+            cache_->Lookup(pkey, {}, local_db().version())) {
       payload = hit->rows;
       row_count = hit->row_count;
       cache_hit = true;
     } else {
-      auto rows = local_db_.MatchPattern(query->pattern());
+      auto rows = local_db().MatchPattern(query->pattern());
       row_count = rows.size();
       payload = SerializeBindings(rows);
-      cache_->Insert(pkey, {}, local_db_.version(),
+      cache_->Insert(pkey, {}, local_db().version(),
                      ExtentCache::Extent{payload, {}, row_count});
     }
   } else {
-    auto rows = local_db_.MatchPattern(query->pattern());
+    auto rows = local_db().MatchPattern(query->pattern());
     row_count = rows.size();
     payload = SerializeBindings(rows);
   }
@@ -1259,10 +1279,13 @@ void GridVinePeer::StartBoundScan(uint64_t exec_id,
   };
   std::map<Key, Batch> batches;
   auto static_routing = pattern.RoutingConstant();
+  const Key static_key = static_routing.has_value()
+                             ? KeyFor(pattern.at(*static_routing).value())
+                             : Key();
   for (uint32_t pi = 0; pi < probes.size(); ++pi) {
     Key key;
     if (static_routing.has_value()) {
-      key = KeyFor(pattern.at(*static_routing).value());
+      key = static_key;
     } else {
       TriplePattern bound = SubstituteBindings(pattern, probes[pi]);
       auto routing = bound.RoutingConstant();
@@ -1402,7 +1425,7 @@ void GridVinePeer::HandleBoundScanRequest(const BoundScanRequest& req) {
   if (cache_ != nullptr) {
     pkey = "b|" + req.pattern;
     if (const ExtentCache::Extent* hit =
-            cache_->Lookup(pkey, req.probes, local_db_.version())) {
+            cache_->Lookup(pkey, req.probes, local_db().version())) {
       counters_.result_rows_sent += hit->row_count;
       if (Tracer* tr = LiveTracer()) {
         TraceCtx mark =
@@ -1447,7 +1470,7 @@ void GridVinePeer::HandleBoundScanRequest(const BoundScanRequest& req) {
   for (uint32_t pi = 0; pi < probes.size(); ++pi) {
     TriplePattern bound = SubstituteBindings(*pattern, probes[pi]);
     bool fully_bound = bound.Variables().empty();
-    auto rows = local_db_.MatchPattern(bound);
+    auto rows = local_db().MatchPattern(bound);
     // A fully-bound pattern matches as one empty row per stored copy of the
     // triple; the answer is a boolean, so clamp to at most one.
     if (fully_bound && rows.size() > 1) rows.resize(1);
@@ -1468,7 +1491,7 @@ void GridVinePeer::HandleBoundScanRequest(const BoundScanRequest& req) {
   }
   resp->rows = any_bindings ? SerializeBindings(out_rows) : "";
   if (cache_ != nullptr) {
-    cache_->Insert(pkey, req.probes, local_db_.version(),
+    cache_->Insert(pkey, req.probes, local_db().version(),
                    ExtentCache::Extent{resp->rows, resp->probe_index,
                                        out_rows.size()});
   }
@@ -1528,9 +1551,9 @@ void GridVinePeer::HandleStatsRequest(const StatsRequest& req) {
   // store version has moved — one integer compare per request, amortizing
   // the O(rows) build across a whole version epoch.
   if (serving_sketch_ == nullptr ||
-      serving_sketch_->built_version() != local_db_.version()) {
+      serving_sketch_->built_version() != local_db().version()) {
     serving_sketch_ =
-        std::make_unique<StoreSketch>(StoreSketch::Build(local_db_));
+        std::make_unique<StoreSketch>(StoreSketch::Build(local_db()));
     ++counters_.sketch_rebuilds;
   }
   if (Tracer* tr = LiveTracer()) {
@@ -1540,7 +1563,7 @@ void GridVinePeer::HandleStatsRequest(const StatsRequest& req) {
   auto rec = std::make_shared<StatsRecord>();
   rec->req_id = req.req_id;
   rec->sketch = serving_sketch_->Serialize();
-  rec->store_version = local_db_.version();
+  rec->store_version = local_db().version();
   rec->responder = id();
   SendResponse(req.reply_to, std::move(rec),
                ScanServeCost(/*cache_hit=*/false, 0));
@@ -1721,8 +1744,10 @@ size_t GridVinePeer::MemoryFootprint() const {
   // Transient query state (pending_queries_, active_execs_) is counted
   // structurally — its strings are short-lived and negligible against the
   // store and overlay at steady state.
-  size_t bytes = sizeof(*this) + overlay_->MemoryFootprint() +
-                 local_db_.MemoryFootprint();
+  size_t bytes = sizeof(*this) + overlay_->MemoryFootprint();
+  if (local_db_) bytes += sizeof(TripleStore) + local_db_->MemoryFootprint();
+  if (cache_) bytes += sizeof(ExtentCache) + cache_->MemoryFootprint();
+  if (frontend_) bytes += frontend_->MemoryFootprint();
   bytes += HashMapBytes(pending_queries_) + HashMapBytes(active_execs_);
   if (stats_cache_) bytes += stats_cache_->MemoryFootprint();
   if (serving_sketch_) bytes += serving_sketch_->MemoryFootprint();

@@ -146,7 +146,9 @@ class GridVinePeer {
 
   /// The local database DB_p: every triple this peer stores at the overlay
   /// layer, kept in sync automatically (including replication traffic).
-  const TripleStore& local_db() const { return local_db_; }
+  /// Allocated on the first stored triple; until then this is a shared,
+  /// immutable empty store (version 0).
+  const TripleStore& local_db() const;
 
   /// The hasher defining this network's key space.
   const OrderPreservingHash& hasher() const { return hash_; }
@@ -323,9 +325,10 @@ class GridVinePeer {
   };
   const Counters& counters() const { return counters_; }
 
-  /// This peer's admission-controlled serving entry point (always present;
-  /// Options::frontend bounds it).
-  QueryFrontend* frontend() { return frontend_.get(); }
+  /// This peer's admission-controlled serving entry point, built on the
+  /// first call (Options::frontend bounds it).
+  QueryFrontend* frontend();
+  /// The frontend if one has been built, else nullptr (never builds one).
   const QueryFrontend* frontend() const { return frontend_.get(); }
 
   /// The responder-side extent cache, or nullptr when Options::cache is off.
@@ -338,7 +341,8 @@ class GridVinePeer {
   void PublishMetrics(MetricsRegistry* metrics) const;
 
   /// Bytes held by this peer across both layers: the mediation-layer object,
-  /// local triple store, and the P-Grid overlay peer underneath.
+  /// local triple store, extent cache, frontend and statistics state, and
+  /// the P-Grid overlay peer underneath.
   size_t MemoryFootprint() const;
 
   /// Conjunctive executors still in flight (0 once every conjunctive query
@@ -530,6 +534,10 @@ class GridVinePeer {
 
   /// Storage listener keeping DB_p in sync.
   void OnStorageChange(UpdateOp op, const Key& key, const std::string& value);
+  /// DB_p for writing, allocated on first use. A fresh store's version moves
+  /// past the shared empty store's 0 on its first insert, so extent-cache
+  /// entries taken before materialization go stale like any other.
+  TripleStore& MutableLocalDb();
 
   /// The network's tracer while tracing is live, else nullptr.
   Tracer* LiveTracer() const;
@@ -539,11 +547,15 @@ class GridVinePeer {
 
   Simulator* sim_;
   Network* network_;
-  Rng rng_;
+  /// Retry-jitter stream (ArmDispatchTimer / ArmBoundScanTimer); one machine
+  /// word, as every peer carries one.
+  CompactRng rng_;
   Options options_;
   OrderPreservingHash hash_;
   std::unique_ptr<PGridPeer> overlay_;
-  TripleStore local_db_;
+  /// DB_p; null until the first triple lands here (most peers at scale
+  /// never store one).
+  std::unique_ptr<TripleStore> local_db_;
   std::unordered_map<uint64_t, PendingQuery> pending_queries_;
   /// Conjunctive executors in flight, keyed by exec id. shared_ptr so a
   /// finished exec can be kept alive until the stack unwinds (the done
@@ -584,7 +596,7 @@ class GridVinePeer {
 
   // --- Serving-layer state --------------------------------------------------
   std::unique_ptr<ExtentCache> cache_;  // null unless Options::cache.enabled
-  std::unique_ptr<QueryFrontend> frontend_;
+  std::unique_ptr<QueryFrontend> frontend_;  // null until frontend() is called
   /// Pending cross-query batch per destination key region. std::map keeps
   /// flush-vs-enqueue interleavings deterministic.
   struct BatchBuffer {

@@ -147,7 +147,7 @@ QueryFrontend::Stats QueryFrontend::stats() const {
 }
 
 size_t QueryFrontend::MemoryFootprint() const {
-  return sizeof(*this) + queue_.size() * sizeof(Task);
+  return sizeof(*this) + DequeBytes<Task>(queue_.size());
 }
 
 }  // namespace gridvine

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -104,6 +106,66 @@ TEST_P(OrderPreservationPropertyTest, RandomPairsOrdered) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OrderPreservationPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// Reference for the differential test below: the original digit-vector
+// long multiplication (double the base-39 fraction digit by digit, the carry
+// out of the top digit is the next bit) — slow, but obviously exact.
+std::string ReferenceOrderPreservingBits(std::string_view data, int depth) {
+  constexpr int kRadix = 39;
+  constexpr size_t kMaxDigits = 24;
+  auto char_digit = [](unsigned char c) {
+    c = static_cast<unsigned char>(std::tolower(c));
+    if (c < '0') return 0;
+    if (c <= '9') return 1 + (c - '0');
+    if (c < 'a') return 11;
+    if (c <= 'z') return 12 + (c - 'a');
+    return kRadix - 1;
+  };
+  int digits[kMaxDigits] = {};
+  for (size_t i = 0; i < kMaxDigits && i < data.size(); ++i) {
+    digits[i] = char_digit(static_cast<unsigned char>(data[i]));
+  }
+  std::string bits;
+  for (int b = 0; b < depth; ++b) {
+    int carry = 0;
+    for (size_t i = kMaxDigits; i-- > 0;) {
+      int v = digits[i] * 2 + carry;
+      digits[i] = v % kRadix;
+      carry = v / kRadix;
+    }
+    bits.push_back(carry ? '1' : '0');
+  }
+  return bits;
+}
+
+TEST(OrderPreservingHashTest, MatchesDigitVectorReference) {
+  std::vector<std::string> inputs = {
+      "",
+      "a",
+      "~",
+      std::string(24, '~'),
+      std::string(40, '~'),
+      "abc" + std::string(24, '~'),  // SubtreeFor's high bound
+      std::string(30, 'z'),
+      std::string(24, '\0'),
+      "EMBL#Organism",
+      "a string well beyond the twenty-four digit window",
+      "\xff\xfe\x80 non-ASCII \xc3\xa9\xe2\x82\xac",
+      "UPPER lower 0123456789 !\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"};
+  Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    std::string s(size_t(rng.UniformInt(0, 40)), '\0');
+    for (char& c : s) c = static_cast<char>(rng.UniformInt(0, 255));
+    inputs.push_back(std::move(s));
+  }
+  for (int depth : {0, 1, 7, 16, 24, 64, 127, 128, 160}) {
+    OrderPreservingHash h(depth);
+    for (const std::string& s : inputs) {
+      ASSERT_EQ(h(s).bits(), ReferenceOrderPreservingBits(s, depth))
+          << "depth " << depth << " input of length " << s.size();
+    }
+  }
+}
 
 TEST(OrderPreservingHashTest, SkewedInputsProduceSkewedKeys) {
   // Strings sharing a long prefix land close together: that is the expected
