@@ -43,8 +43,8 @@ Trial Run(double downtime_fraction, bool with_maintenance, uint64_t seed,
   std::vector<std::unique_ptr<PGridPeer>> owned;
   std::vector<PGridPeer*> peers;
   for (int i = 0; i < 64; ++i) {
-    owned.push_back(
-        std::make_unique<PGridPeer>(&sim, &net, Rng(seed * 131 + i), popts));
+    owned.push_back(std::make_unique<PGridPeer>(
+        &sim, &net, Mt64Head<1>(seed * 131 + i)[0], popts));
     peers.push_back(owned.back().get());
   }
   Rng build_rng(seed + 1);

@@ -56,8 +56,8 @@ Trial Run(double loss, double offline_fraction, bool retries_on,
   // rest one. The workload targets the replicated half so the failover path
   // (retry reaching the live member of σ(p)) has something to reach.
   for (int i = 0; i < 96; ++i) {
-    owned.push_back(
-        std::make_unique<PGridPeer>(&sim, &net, Rng(seed * 131 + i), popts));
+    owned.push_back(std::make_unique<PGridPeer>(
+        &sim, &net, Mt64Head<1>(seed * 131 + i)[0], popts));
     peers.push_back(owned.back().get());
   }
   Rng build_rng(seed + 1);

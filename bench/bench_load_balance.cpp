@@ -37,7 +37,8 @@ struct Overlay {
     opts.key_depth = kKeyDepth;
     opts.load_aware = load_aware;
     for (size_t i = 0; i < n; ++i) {
-      owned.push_back(std::make_unique<PGridPeer>(&sim, &net, Rng(31 + i), opts));
+      owned.push_back(std::make_unique<PGridPeer>(
+          &sim, &net, Mt64Head<1>(31 + i)[0], opts));
       peers.push_back(owned.back().get());
     }
   }

@@ -53,6 +53,34 @@ double Percentile(const std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
+struct IssuedQuery {
+  TriplePatternQuery query;
+  size_t issuer = 0;
+};
+
+/// Draws `n` queries and their issuers from Rng(seed) in the order a loop
+/// issuing them one at a time would: schema, query, issuer. Generating
+/// them up front keeps the (slow) workload generator off the clock.
+std::vector<IssuedQuery> MakeQueries(const BioWorkload& workload, size_t n,
+                                     size_t peers, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<IssuedQuery> out;
+  out.reserve(n);
+  for (size_t q = 0; q < n; ++q) {
+    size_t schema =
+        size_t(rng.UniformInt(0, int64_t(workload.schemas().size()) - 1));
+    auto gq = workload.MakeQuery(schema, &rng);
+    size_t issuer = size_t(rng.UniformInt(0, int64_t(peers) - 1));
+    out.push_back({std::move(gq.query), issuer});
+  }
+  return out;
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,10 +129,13 @@ int main(int argc, char** argv) {
   // Tracing is on for the whole query phase: span ids come from a plain
   // counter, so a traced run is bit-identical to an untraced one. The ring is
   // cleared per query, making each snapshot exactly one query's causal tree.
+  // Only the SearchFor calls are timed; each trace is analysed after its
+  // query's clock stops.
   net.tracer()->Enable(1 << 16);
 
-  auto e1_t0 = std::chrono::steady_clock::now();
-  Rng rng(99);
+  const std::vector<IssuedQuery> queries =
+      MakeQueries(workload, kQueries, net.size(), 99);
+  double e1_run_s = 0;
   std::vector<double> latencies;
   latencies.reserve(kQueries);
   std::vector<size_t> hops;
@@ -114,12 +145,11 @@ int main(int argc, char** argv) {
   size_t failed = 0;
   size_t empty = 0;
   gridvine::bench::CriticalPathAgg cp_agg;
-  for (size_t q = 0; q < kQueries; ++q) {
-    size_t schema = size_t(rng.UniformInt(0, int64_t(workload.schemas().size()) - 1));
-    auto gq = workload.MakeQuery(schema, &rng);
-    size_t issuer = size_t(rng.UniformInt(0, int64_t(net.size()) - 1));
+  for (const IssuedQuery& iq : queries) {
     net.tracer()->Clear();
-    auto res = net.SearchFor(issuer, gq.query);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto res = net.SearchFor(iq.issuer, iq.query);
+    e1_run_s += SecondsSince(t0);
     if (!res.status.ok()) {
       ++failed;
       continue;
@@ -133,9 +163,6 @@ int main(int argc, char** argv) {
     cp_agg.Add(an.CriticalPathFor(res.trace_id));
   }
   std::sort(latencies.begin(), latencies.end());
-  const double e1_run_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - e1_t0)
-          .count();
   const double e1_qps = e1_run_s > 0 ? double(kQueries) / e1_run_s : 0;
 
   std::printf("\n  %-28s %10s %10s\n", "metric", "paper", "measured");
@@ -197,32 +224,32 @@ int main(int argc, char** argv) {
   std::printf("  peers=%zu shards=%u queries=%zu\n", kScalePeers, kShards,
               kScaleQueries);
 
-  auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   GridVineNetwork snet(sopt);
   for (size_t s = 0; s < workload.schemas().size(); ++s) {
     size_t owner = (s * 7) % snet.size();
     if (!snet.InsertSchema(owner, workload.schemas()[s]).ok()) return 1;
     if (!snet.InsertTriples(owner, workload.TriplesFor(s)).ok()) return 1;
   }
-  auto t1 = std::chrono::steady_clock::now();
+  const double build_s = SecondsSince(t0);
   const size_t events_before = snet.engine()->events_executed();
 
   snet.tracer()->Enable(1 << 16);
 
-  Rng srng(99);
+  const std::vector<IssuedQuery> squeries =
+      MakeQueries(workload, kScaleQueries, snet.size(), 99);
+  double run_s = 0;  // SearchFor calls only, as in E1
   std::vector<double> slat;
   slat.reserve(kScaleQueries);
   std::vector<size_t> shops;
   size_t sfailed = 0;
   size_t sempty = 0;
   gridvine::bench::CriticalPathAgg scp_agg;
-  for (size_t q = 0; q < kScaleQueries; ++q) {
-    size_t schema =
-        size_t(srng.UniformInt(0, int64_t(workload.schemas().size()) - 1));
-    auto gq = workload.MakeQuery(schema, &srng);
-    size_t issuer = size_t(srng.UniformInt(0, int64_t(snet.size()) - 1));
+  for (const IssuedQuery& iq : squeries) {
     snet.tracer()->Clear();
-    auto res = snet.SearchFor(issuer, gq.query);
+    const auto q0 = std::chrono::steady_clock::now();
+    auto res = snet.SearchFor(iq.issuer, iq.query);
+    run_s += SecondsSince(q0);
     if (!res.status.ok()) {
       ++sfailed;
       continue;
@@ -234,11 +261,8 @@ int main(int argc, char** argv) {
         gridvine::bench::HopsAndRetries(an.spans(), res.trace_id).hops);
     scp_agg.Add(an.CriticalPathFor(res.trace_id));
   }
-  auto t2 = std::chrono::steady_clock::now();
   std::sort(slat.begin(), slat.end());
 
-  const double build_s = std::chrono::duration<double>(t1 - t0).count();
-  const double run_s = std::chrono::duration<double>(t2 - t1).count();
   const size_t events = snet.engine()->events_executed() - events_before;
   const double events_per_sec = run_s > 0 ? double(events) / run_s : 0;
   const double bytes_per_peer =

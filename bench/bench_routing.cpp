@@ -43,8 +43,8 @@ struct Overlay {
     opts.key_depth = key_depth;
     opts.retry.base_timeout = 60.0;
     for (size_t i = 0; i < n; ++i) {
-      owned.push_back(
-          std::make_unique<PGridPeer>(&sim, &net, Rng(seed * 131 + i), opts));
+      owned.push_back(std::make_unique<PGridPeer>(
+          &sim, &net, Mt64Head<1>(seed * 131 + i)[0], opts));
       peers.push_back(owned.back().get());
     }
   }
@@ -171,7 +171,8 @@ ScaleResult RunScalePoint(size_t n, uint32_t shards, size_t lookups,
   peers.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     peers.push_back(std::make_unique<PGridPeer>(
-        engine.SimForNext(), engine.LaneForNext(), Rng(seed * 131 + i), opts));
+        engine.SimForNext(), engine.LaneForNext(),
+        Mt64Head<1>(seed * 131 + i)[0], opts));
     peers.back()->SetPath(Key::FromUint(i % leaves, depth));
   }
 

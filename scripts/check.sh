@@ -3,7 +3,9 @@
 # sequence ROADMAP.md names as the bar every change must keep green.
 #
 #   $ scripts/check.sh            # RelWithDebInfo build + ctest
-#   $ scripts/check.sh --asan     # ASan/UBSan build, runs store + query tests
+#   $ scripts/check.sh --asan     # ASan/UBSan build, runs store, query,
+#                                 # property, rng-seeding, wiring and
+#                                 # GridVine peer tests
 #   $ scripts/check.sh --tsan     # TSan build, runs the sharded-engine tests
 set -euo pipefail
 
@@ -32,12 +34,20 @@ fi
 if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-san -S . -DGV_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-san -j "$(nproc)" --target triple_store_test query_test \
-    property_test
+    property_test rng_test pgrid_builder_test compact_peer_test \
+    gridvine_peer_test
   export ASAN_OPTIONS=detect_leaks=1
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   ./build-san/tests/triple_store_test
   ./build-san/tests/query_test
   ./build-san/tests/property_test
+  # Per-peer seed derivation and packed-path wiring: the bit packing and
+  # word shifts are what UBSan checks here.
+  ./build-san/tests/rng_test
+  ./build-san/tests/pgrid_builder_test
+  ./build-san/tests/compact_peer_test
+  # Query dispatch/reformulation bookkeeping (pending-query lifetimes).
+  ./build-san/tests/gridvine_peer_test
   echo "sanitizer run clean"
   exit 0
 fi

@@ -2,8 +2,10 @@
 #define GRIDVINE_COMMON_RNG_H_
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -84,6 +86,39 @@ class Rng {
   std::mt19937_64 engine_;
 };
 
+/// The first K outputs of `std::mt19937_64(seed)`, computed without building
+/// the generator: its 2.5 KB state, 312-step seeding and 312-word refill cost
+/// far more than a few draws when a per-peer stream needs only a seed or two.
+/// Output k (k < 156) of the first refill twists seeding words k and k + 1
+/// and xors word k + 156 — words the refill has not yet rewritten — so the
+/// first K outputs depend on seeding words 0 .. K + 155 only.
+/// `Mt64Head<1>(s)[0]` is the seed `Rng(s).Fork()` would hand a child.
+template <size_t K>
+std::array<uint64_t, K> Mt64Head(uint64_t seed) {
+  using Mt = std::mt19937_64;
+  static_assert(K >= 1 && K <= Mt::state_size - Mt::shift_size,
+                "only outputs read before the refill's wrap-around");
+  constexpr uint64_t kLowerMask = (uint64_t(1) << Mt::mask_bits) - 1;
+  uint64_t words[K + Mt::shift_size] = {seed};
+  for (size_t i = 1; i < K + Mt::shift_size; ++i) {
+    words[i] = Mt::initialization_multiplier *
+                   (words[i - 1] ^ (words[i - 1] >> (Mt::word_size - 2))) +
+               i;
+  }
+  std::array<uint64_t, K> out{};
+  for (size_t k = 0; k < K; ++k) {
+    const uint64_t y = (words[k] & ~kLowerMask) | (words[k + 1] & kLowerMask);
+    uint64_t z = words[k + Mt::shift_size] ^ (y >> 1) ^
+                 ((y & 1) != 0 ? Mt::xor_mask : 0);
+    z ^= (z >> Mt::tempering_u) & Mt::tempering_d;
+    z ^= (z << Mt::tempering_s) & Mt::tempering_b;
+    z ^= (z << Mt::tempering_t) & Mt::tempering_c;
+    z ^= z >> Mt::tempering_l;
+    out[k] = z;
+  }
+  return out;
+}
+
 /// SplitMix64 finalizer: a full-avalanche 64 -> 64 bit mix, usable on its own
 /// to derive independent seeds from (seed, index) pairs.
 inline uint64_t Mix64(uint64_t x) {
@@ -154,17 +189,15 @@ class SmallRng {
 /// (UniformInt / PickOne / Fork / jitter doubles) over a single SmallRng
 /// machine word. This is what overlay peers carry instead of a 2.5 KB
 /// mt19937_64 — the dominant share of a bare peer's footprint at the 1M-peer
-/// scale point. Seeded from one draw of a caller-owned Rng so existing
-/// `PGridPeer(..., Rng(seed), ...)` call sites keep working unchanged; like
-/// SmallRng it is a separate determinism domain from Rng (same-seed runs are
-/// self-identical and shard-count invariant, but not draw-for-draw equal to
-/// the mt19937_64 streams).
+/// scale point. Peers take its seed directly (see Mt64Head for deriving one
+/// from an Rng seed without building the Rng); like SmallRng it is a
+/// separate determinism domain from Rng (same-seed runs are self-identical
+/// and shard-count invariant, but not draw-for-draw equal to the mt19937_64
+/// streams).
 class CompactRng {
  public:
   CompactRng() : rng_(0) {}
   explicit CompactRng(uint64_t seed) : rng_(seed) {}
-  /// Consumes exactly one draw of `source` to seed the compact stream.
-  explicit CompactRng(Rng& source) : rng_(source.engine()()) {}
 
   uint64_t Next() { return rng_.Next(); }
 

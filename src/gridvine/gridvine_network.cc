@@ -16,24 +16,28 @@ GridVineNetwork::GridVineNetwork(Options options)
     sopts.latency = MakeLatency();
     engine_ = std::make_unique<ShardedNetwork>(std::move(sopts));
     trace_view_.SetParts(engine_->TracerParts());
-    // Each peer is built against its owner shard's simulator and lane; the
-    // sequential construction order fixes the id <-> shard assignment.
-    for (size_t i = 0; i < options_.num_peers; ++i) {
-      peers_.push_back(std::make_unique<GridVinePeer>(
-          engine_->SimForNext(), engine_->LaneForNext(), rng_.Fork(),
-          options_.peer, options_.overlay));
-    }
   } else {
     trace_view_.SetParts({&tracer_});
     tracer_.SetClock([this] { return sim_.Now(); });
     network_ = std::make_unique<Network>(&sim_, MakeLatency(), rng_.Fork(),
                                          options_.loss_probability);
     network_->SetTracer(&tracer_);
-    for (size_t i = 0; i < options_.num_peers; ++i) {
-      peers_.push_back(std::make_unique<GridVinePeer>(
-          &sim_, network_.get(), rng_.Fork(), options_.peer,
-          options_.overlay));
-    }
+  }
+  peers_.reserve(options_.num_peers);
+  for (size_t i = 0; i < options_.num_peers; ++i) {
+    // A peer's streams are seeded as if from a forked Rng(s): the overlay
+    // from the first draw of Rng(first draw of Rng(s)), the jitter from the
+    // second draw of Rng(s). Mt64Head yields those draws without building
+    // either mt19937_64.
+    const auto fork = Mt64Head<2>(rng_.engine()());
+    const uint64_t overlay_seed = Mt64Head<1>(fork[0])[0];
+    // On the sharded engine each peer is built against its owner shard's
+    // simulator and lane; the sequential construction order fixes the
+    // id <-> shard assignment.
+    Simulator* sim = engine_ ? engine_->SimForNext() : &sim_;
+    Network* network = engine_ ? engine_->LaneForNext() : network_.get();
+    peers_.push_back(std::make_unique<GridVinePeer>(
+        sim, network, overlay_seed, fork[1], options_.peer, options_.overlay));
   }
   Rng wire_rng = rng_.Fork();
   PGridBuilder::BuildBalanced(overlay_peers(), &wire_rng,

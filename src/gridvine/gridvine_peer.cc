@@ -58,20 +58,18 @@ class AckAggregator : public std::enable_shared_from_this<AckAggregator> {
 
 }  // namespace
 
-GridVinePeer::GridVinePeer(Simulator* sim, Network* network, Rng rng,
+GridVinePeer::GridVinePeer(Simulator* sim, Network* network,
+                           uint64_t overlay_seed, uint64_t jitter_seed,
                            Options options,
                            PGridPeer::Options overlay_options)
     : sim_(sim),
       network_(network),
+      rng_(jitter_seed),
       options_(options),
       hash_(options.key_depth) {
   overlay_options.key_depth = options.key_depth;
-  // The overlay is seeded from the first draw of `rng` and the jitter stream
-  // from the second, so the overlay's routing streams do not depend on what
-  // the mediation layer draws.
-  overlay_ = std::make_unique<PGridPeer>(sim, network, rng.Fork(),
+  overlay_ = std::make_unique<PGridPeer>(sim, network, overlay_seed,
                                          overlay_options);
-  rng_ = CompactRng(rng);
   overlay_->SetExtensionHandler(
       [this](NodeId origin, std::shared_ptr<const MessageBody> payload,
              int hops) { OnExtensionMessage(origin, std::move(payload), hops); });
@@ -675,7 +673,10 @@ void GridVinePeer::IterativeExpand(uint64_t qid,
         auto it2 = pending_queries_.find(qid);
         if (it2 == pending_queries_.end() || it2->second.closed) return;
         PendingQuery& p = it2->second;
-        --p.outstanding;
+        // The fetch keeps its outstanding unit until the loop is done: a
+        // branch dispatched below can answer synchronously (the issuer is
+        // responsible for its key), and dropping the count to zero there
+        // would finish the query, erase `p` and leave the loop reading it.
         if (fetched.ok()) {
           std::string schema = query.SchemaName();
           for (const SchemaMapping& m : OrientMappingsFrom(
@@ -693,6 +694,7 @@ void GridVinePeer::IterativeExpand(uint64_t qid,
                             confidence * m.confidence());
           }
         }
+        --p.outstanding;
         MaybeFinishIterative(qid);
       });
 }

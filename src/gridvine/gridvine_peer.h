@@ -132,7 +132,10 @@ class GridVinePeer {
 
   using StatusCallback = std::function<void(Status)>;
 
-  GridVinePeer(Simulator* sim, Network* network, Rng rng, Options options,
+  /// `overlay_seed` seeds the PGridPeer's stream, `jitter_seed` this
+  /// layer's retry-jitter stream (both CompactRng seeds).
+  GridVinePeer(Simulator* sim, Network* network, uint64_t overlay_seed,
+               uint64_t jitter_seed, Options options,
                PGridPeer::Options overlay_options);
   ~GridVinePeer();
 
@@ -352,6 +355,9 @@ class GridVinePeer {
   size_t PendingQueryCount() const { return pending_queries_.size(); }
 
   const Options& options() const { return options_; }
+
+  /// The retry-jitter stream (tests check how it was seeded).
+  const CompactRng& jitter_rng() const { return rng_; }
 
  private:
   /// One destination's answer to one (possibly reformulated) pattern.

@@ -2,10 +2,72 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
-#include <map>
+#include <string>
 
 namespace gridvine {
+namespace {
+
+/// One peer of WireRouting's index: its path packed MSB-first (bit i of the
+/// path is bit 63 - i of `head`, zero past the end), its length and id.
+/// Bits past the 64th sit in PathIndex::tails from word `tail` on.
+struct PackedPath {
+  uint64_t head = 0;
+  uint32_t len = 0;
+  NodeId id = kInvalidNode;
+  uint32_t tail = 0;
+};
+
+/// Packed paths ordered exactly as their '0'/'1' strings: by the
+/// zero-padded bits, then by length. A proper prefix either differs from its
+/// extension at a 1 past its end or ties on the padded bits and is shorter,
+/// so both orders put it first.
+struct PathIndex {
+  std::vector<PackedPath> entries;
+  std::vector<uint64_t> tails;
+
+  static uint32_t TailWords(uint32_t len) {
+    return len > 64 ? (len - 1) / 64 : 0;
+  }
+
+  /// Bits [from, from + 64) of `bits`, left-aligned and zero-padded.
+  static uint64_t PackWord(const std::string& bits, size_t from) {
+    uint64_t word = 0;
+    const size_t end = std::min(bits.size(), from + 64);
+    for (size_t i = from; i < end; ++i) {
+      if (bits[i] == '1') word |= uint64_t(1) << (63 - (i - from));
+    }
+    return word;
+  }
+
+  void Add(const std::string& bits, NodeId id) {
+    entries.push_back(PackedPath{PackWord(bits, 0), uint32_t(bits.size()), id,
+                                 uint32_t(tails.size())});
+    for (size_t from = 64; from < bits.size(); from += 64) {
+      tails.push_back(PackWord(bits, from));
+    }
+  }
+
+  bool Less(const PackedPath& a, const PackedPath& b) const {
+    if (a.head != b.head) return a.head < b.head;
+    const uint32_t wa = TailWords(a.len), wb = TailWords(b.len);
+    for (uint32_t w = 0; w < std::max(wa, wb); ++w) {
+      const uint64_t x = w < wa ? tails[a.tail + w] : 0;
+      const uint64_t y = w < wb ? tails[b.tail + w] : 0;
+      if (x != y) return x < y;
+    }
+    return a.len < b.len;
+  }
+
+  /// Bit `i` of `e`'s path; i < e.len.
+  int Bit(const PackedPath& e, uint32_t i) const {
+    const uint64_t word = i < 64 ? e.head : tails[e.tail + (i - 64) / 64];
+    return int((word >> (63 - i % 64)) & 1);
+  }
+};
+
+}  // namespace
 
 void PGridBuilder::BuildBalanced(const std::vector<PGridPeer*>& peers,
                                  Rng* rng, int refs_per_level) {
@@ -66,6 +128,13 @@ void PGridBuilder::BuildAdaptive(const std::vector<PGridPeer*>& peers,
 
 void PGridBuilder::WireRouting(const std::vector<PGridPeer*>& peers, Rng* rng,
                                int refs_per_level) {
+  // Index peers by path so complementary-subtree candidates live in a
+  // contiguous sorted range. Refs are then *sampled* from that range instead
+  // of collected and shuffled: at level 0 the complementary subtree holds
+  // ~n/2 peers, so collect-then-shuffle is O(n^2) across the network and was
+  // the wall that kept 100k+-peer deployments from constructing.
+  PathIndex index;
+  index.entries.reserve(peers.size());
   for (PGridPeer* p : peers) {
     // Reset the level structure and drop stale links: when paths are
     // reassigned wholesale (e.g. balanced -> adaptive rebuild), refs wired
@@ -73,51 +142,56 @@ void PGridBuilder::WireRouting(const std::vector<PGridPeer*>& peers, Rng* rng,
     // invariant and create routing loops.
     p->routing()->SetPath(p->path());
     p->routing()->ClearLinks();
+    index.Add(p->path().bits(), p->id());
   }
-  // Index peers by path string so complementary-subtree candidates live in a
-  // contiguous sorted range. Refs are then *sampled* from that range instead
-  // of collected and shuffled: at level 0 the complementary subtree holds
-  // ~n/2 peers, so collect-then-shuffle is O(n^2) across the network and was
-  // the wall that kept 100k+-peer deployments from constructing.
-  std::vector<std::pair<std::string, PGridPeer*>> by_path;
-  by_path.reserve(peers.size());
-  for (PGridPeer* q : peers) by_path.emplace_back(q->path().bits(), q);
-  std::sort(by_path.begin(), by_path.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  // [lo, hi) of entries whose path starts with `prefix`. The upper bound is
-  // the lower bound of the lexicographic successor prefix (increment the
-  // last non-'1' bit, dropping trailing '1's; all-'1' prefixes run to end()).
-  auto prefix_range = [&](std::string prefix) {
-    auto cmp = [](const auto& e, const std::string& v) { return e.first < v; };
-    auto lo = std::lower_bound(by_path.begin(), by_path.end(), prefix, cmp);
-    while (!prefix.empty() && prefix.back() == '1') prefix.pop_back();
-    auto hi = by_path.end();
-    if (!prefix.empty()) {
-      prefix.back() = '1';
-      hi = std::lower_bound(by_path.begin(), by_path.end(), prefix, cmp);
-    }
-    return std::make_pair(lo, hi);
-  };
+  // std::sort, not stable_sort: the order equal paths (replicas) end up in
+  // decides which peer a sampled index names, so it is part of the seeded
+  // wiring. Fed the same sequence and comparison outcomes, std::sort makes
+  // the same permutation as the string-keyed reference in
+  // tests/pgrid_builder_test.cc.
+  std::sort(index.entries.begin(), index.entries.end(),
+            [&index](const PackedPath& a, const PackedPath& b) {
+              return index.Less(a, b);
+            });
 
+  std::vector<NodeId> pool;  // small-pool candidates, reused across levels
   for (PGridPeer* p : peers) {
     const Key& path = p->path();
+    // [lo, hi): the entries whose path starts with the first `level` bits
+    // of p's path. Sorted, that range holds the entries equal to the prefix
+    // (shortest first), then its 0-subtree, then its 1-subtree; each level
+    // splits it with two searches and keeps p's side.
+    auto lo = index.entries.begin();
+    auto hi = index.entries.end();
     for (int level = 0; level < path.length(); ++level) {
+      const auto u = uint32_t(level);
+      const auto zeros = std::partition_point(
+          lo, hi, [u](const PackedPath& e) { return e.len <= u; });
+      const auto ones = std::partition_point(
+          zeros, hi, [&index, u](const PackedPath& e) {
+            return index.Bit(e, u) == 0;
+          });
       // Complementary subtree at `level`: same first `level` bits, opposite
       // bit at `level`. Never contains p itself.
-      std::string prefix =
-          path.Prefix(level).bits() + (path.bit(level) ? '0' : '1');
-      auto [lo, hi] = prefix_range(prefix);
-      const auto m = size_t(hi - lo);
+      auto cand_lo = ones, cand_hi = hi;
+      if (path.bit(level) == 1) {
+        cand_lo = zeros;
+        cand_hi = ones;
+        lo = ones;
+      } else {
+        lo = zeros;
+        hi = ones;
+      }
+      const auto m = size_t(cand_hi - cand_lo);
       if (m == 0) continue;
       if (m <= size_t(refs_per_level) * 4) {
-        // Small pool: uniform without-replacement via shuffle, as before.
-        std::vector<NodeId> candidates;
-        candidates.reserve(m);
-        for (auto it = lo; it != hi; ++it) candidates.push_back(it->second->id());
-        rng->Shuffle(&candidates);
-        int take = std::min<int>(refs_per_level, int(candidates.size()));
+        // Small pool: uniform without-replacement via shuffle.
+        pool.clear();
+        for (auto it = cand_lo; it != cand_hi; ++it) pool.push_back(it->id);
+        rng->Shuffle(&pool);
+        int take = std::min<int>(refs_per_level, int(pool.size()));
         for (int i = 0; i < take; ++i) {
-          p->routing()->AddRef(level, candidates[size_t(i)]);
+          p->routing()->AddRef(level, pool[size_t(i)]);
         }
       } else {
         // Large pool: rejection-sample indexes (AddRef dedups). With the
@@ -126,18 +200,17 @@ void PGridBuilder::WireRouting(const std::vector<PGridPeer*>& peers, Rng* rng,
         for (int attempt = 0; attempt < refs_per_level * 4 &&
                               added < refs_per_level;
              ++attempt) {
-          NodeId id = (lo + ptrdiff_t(rng->UniformInt(0, int64_t(m) - 1)))
-                          ->second->id();
+          NodeId id =
+              (cand_lo + ptrdiff_t(rng->UniformInt(0, int64_t(m) - 1)))->id;
           if (p->routing()->AddRef(level, id)) ++added;
         }
       }
     }
-    // Replica set: identical paths. Trie paths are prefix-free, so the
-    // prefix range of the full path holds exactly the replica group.
-    auto [lo, hi] = prefix_range(path.bits());
-    for (auto it = lo; it != hi; ++it) {
-      PGridPeer* q = it->second;
-      if (q != p && q->path() == path) p->routing()->AddReplica(q->id());
+    // Replica set: the entries equal to p's full path, which lead p's own
+    // final range.
+    const auto len = uint32_t(path.length());
+    for (auto it = lo; it != hi && it->len == len; ++it) {
+      if (it->id != p->id()) p->routing()->AddReplica(it->id);
     }
   }
 }

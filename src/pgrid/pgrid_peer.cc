@@ -9,11 +9,11 @@
 
 namespace gridvine {
 
-PGridPeer::PGridPeer(Simulator* sim, Network* network, Rng rng,
+PGridPeer::PGridPeer(Simulator* sim, Network* network, uint64_t seed,
                      Options options)
     : sim_(sim),
       network_(network),
-      rng_(rng),
+      rng_(seed),
       options_(options),
       id_(kInvalidNode),
       routing_(options.max_refs_per_level) {

@@ -92,8 +92,9 @@ class PGridPeer : public NetworkNode {
   };
   using UpdateCallback = std::function<void(Result<UpdateOutcome>)>;
 
-  /// The peer registers itself with `network` on construction.
-  PGridPeer(Simulator* sim, Network* network, Rng rng, Options options);
+  /// The peer registers itself with `network` on construction. `seed`
+  /// seeds its CompactRng stream (routing draws, retry jitter).
+  PGridPeer(Simulator* sim, Network* network, uint64_t seed, Options options);
 
   PGridPeer(const PGridPeer&) = delete;
   PGridPeer& operator=(const PGridPeer&) = delete;
@@ -223,6 +224,9 @@ class PGridPeer : public NetworkNode {
 
   const Options& options() const { return options_; }
 
+  /// The peer's random stream (tests check how it was seeded).
+  const CompactRng& rng() const { return rng_; }
+
  private:
   struct Pending {
     enum class Kind { kRetrieve, kUpdate } kind;
@@ -285,9 +289,8 @@ class PGridPeer : public NetworkNode {
 
   Simulator* sim_;
   Network* network_;
-  /// One machine word of generator state (see common/rng.h CompactRng) —
-  /// seeded from the Rng the constructor receives, so call sites are
-  /// unchanged while a bare peer sheds the 2.5 KB mt19937_64.
+  /// One machine word of generator state (see common/rng.h CompactRng), so
+  /// a bare peer carries no 2.5 KB mt19937_64.
   CompactRng rng_;
   Options options_;
   NodeId id_;

@@ -18,7 +18,7 @@ using SimTime = double;
 /// seconds regardless of host speed.
 ///
 /// The queue is a hand-rolled 4-ary min-heap over (time, seq), split into two
-/// arrays: the heap itself holds 24-byte trivially-copyable keys
+/// arrays: the heap itself holds 32-byte trivially-copyable keys
 /// (time, seq, slot), while the EventFn callables sit still in a slot pool
 /// recycled through a free list. Sifting therefore compares and copies only
 /// small keys — a pop at 10k pending events touches a handful of cache lines
@@ -123,6 +123,8 @@ class Simulator {
       return t;
     }
   };
+  // 16 + 4 bytes, padded to the 16-byte alignment of unsigned __int128.
+  static_assert(sizeof(HeapEntry) == 32);
 
   static HeapEntry MakeEntry(SimTime t, uint64_t seq, uint32_t slot) {
     uint64_t bits;
@@ -140,8 +142,8 @@ class Simulator {
   uint64_t next_seq_ = 0;
   size_t executed_ = 0;
   /// 4-ary min-heap of keys: children of node i are 4i+1 .. 4i+4. A wider
-  /// node halves the tree depth vs a binary heap; with 24-byte entries all
-  /// four children of a node fit in 1-2 cache lines.
+  /// node halves the tree depth vs a binary heap; with 32-byte entries all
+  /// four children of a node span 128 bytes, two or three cache lines.
   std::vector<HeapEntry> heap_;
   /// Parked callables, addressed by HeapEntry::slot; never moved by sifts.
   std::vector<EventFn> slots_;

@@ -7,6 +7,8 @@
 //  * Extent-cache validation still sees the first insert into a store that
 //    did not exist when the (negative) entry was cached.
 //  * PublishMetrics emits the same key set whether or not frontends exist.
+//  * Each peer's overlay and jitter streams start where the forked-Rng
+//    chain they are derived from would have started them.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "gridvine/gridvine_network.h"
 #include "gridvine/query_frontend.h"
 
@@ -96,6 +99,36 @@ TEST(CompactPeerTest, BarePeerAllocatesNoFrontendOrStore) {
     if (!peer.local_db().Contains(t)) {
       EXPECT_EQ(&peer.local_db(), shared) << "peer " << i;
     }
+  }
+}
+
+TEST(CompactPeerTest, PeerStreamsMatchForkedRngChain) {
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "force_sharded" : "classic engine");
+    GridVineNetwork::Options o;
+    o.num_peers = 1000;
+    o.key_depth = 12;
+    o.seed = 42;
+    o.force_sharded = sharded;
+    GridVineNetwork net(o);
+    // The chain the peers were once built from: each peer took a forked
+    // Rng child; its overlay stream was seeded by the first draw of
+    // child.Fork(), its jitter stream by the next draw of child. The
+    // classic engine forks the Network's stream before any peer.
+    Rng root(o.seed);
+    if (!sharded) root.Fork();
+    for (size_t i = 0; i < net.size(); ++i) {
+      Rng child = root.Fork();
+      CompactRng overlay(child.Fork().engine()());
+      CompactRng jitter(child.engine()());
+      CompactRng got_overlay = net.peer(i)->overlay()->rng();
+      CompactRng got_jitter = net.peer(i)->jitter_rng();
+      ASSERT_EQ(got_overlay.Next(), overlay.Next()) << "peer " << i;
+      ASSERT_EQ(got_jitter.Next(), jitter.Next()) << "peer " << i;
+    }
+    // The wiring stream is the next fork, after which both chains agree.
+    root.Fork();
+    EXPECT_EQ(net.rng()->engine()(), root.engine()());
   }
 }
 

@@ -18,8 +18,8 @@ struct Overlay {
     PGridPeer::Options opts;
     opts.key_depth = key_depth;
     for (size_t i = 0; i < n; ++i) {
-      owned.push_back(
-          std::make_unique<PGridPeer>(&sim, &net, Rng(seed * 31 + i), opts));
+      owned.push_back(std::make_unique<PGridPeer>(
+          &sim, &net, Mt64Head<1>(seed * 31 + i)[0], opts));
       peers.push_back(owned.back().get());
     }
   }

@@ -164,8 +164,8 @@ inline FaultRunResult RunFaultScenario(const FaultScenario& s) {
   std::vector<std::unique_ptr<PGridPeer>> owned;
   std::vector<PGridPeer*> peers;
   for (int i = 0; i < s.peers; ++i) {
-    owned.push_back(
-        std::make_unique<PGridPeer>(&sim, &net, Rng(s.seed * 131 + i), popts));
+    owned.push_back(std::make_unique<PGridPeer>(
+        &sim, &net, Mt64Head<1>(s.seed * 131 + i)[0], popts));
     peers.push_back(owned.back().get());
   }
   Rng build_rng(s.seed + 1);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/hash.h"
 #include "gridvine/gridvine_network.h"
 
 namespace gridvine {
@@ -242,6 +245,48 @@ TEST_F(GridVineTest, ReformulationChainsAcrossThreeSchemas) {
     }
     EXPECT_TRUE(saw_pdb);
   }
+}
+
+TEST(GridVineIterativeTest, SynchronousBranchDoesNotEndQueryMidExpansion) {
+  // Two peers, paths "0" and "1". The order-preserving hash puts keys
+  // starting with 'a' under "0" and keys starting with 'm' or 'z' under
+  // "1". Issued at peer 1, the a-query and the fetch of a's mappings go to
+  // peer 0 and the a-query answers first; then every reformulated branch
+  // (z, m) and z's mapping fetch resolve synchronously at the issuer. The
+  // z branch must not finish the query before z's own mappings expand.
+  GridVineNetwork::Options o;
+  o.num_peers = 2;
+  o.key_depth = 8;
+  o.seed = 3;
+  o.latency = GridVineNetwork::LatencyKind::kConstant;
+  o.latency_param = 0.01;
+  GridVineNetwork net(o);
+  OrderPreservingHash hash(o.key_depth);
+  for (const char* key : {"a", "a#p"}) {
+    ASSERT_TRUE(net.peer(0)->overlay()->IsResponsibleFor(hash(key))) << key;
+  }
+  for (const char* key : {"z", "z#p", "m", "m#p"}) {
+    ASSERT_TRUE(net.peer(1)->overlay()->IsResponsibleFor(hash(key))) << key;
+  }
+  for (const char* schema : {"a", "z", "m"}) {
+    const std::string s = schema;
+    ASSERT_TRUE(net.InsertTriple(0, T(s + ":1", s + "#p", "v")).ok());
+  }
+  SchemaMapping az("a-z", "a", "z");
+  ASSERT_TRUE(az.AddCorrespondence("a#p", "z#p").ok());
+  SchemaMapping zm("z-m", "z", "m");
+  ASSERT_TRUE(zm.AddCorrespondence("z#p", "m#p").ok());
+  ASSERT_TRUE(net.InsertMapping(0, az).ok());
+  ASSERT_TRUE(net.InsertMapping(0, zm).ok());
+
+  GridVinePeer::QueryOptions opts;
+  opts.reformulate = true;
+  opts.mode = ReformulationMode::kIterative;
+  auto res = net.SearchFor(1, OrganismQuery("a#p", "%v%"), opts);
+  ASSERT_TRUE(res.status.ok());
+  EXPECT_EQ(res.items.size(), 3u);
+  EXPECT_EQ(res.schemas_answered, 3u);
+  EXPECT_EQ(res.reformulations, 2u);
 }
 
 TEST_F(GridVineTest, BidirectionalMappingAnswersReverseQueries) {

@@ -21,8 +21,8 @@ struct Overlay {
     opts.retry.base_timeout = 1.0;
     opts.retry.max_attempts = 3;
     for (size_t i = 0; i < n; ++i) {
-      owned.push_back(
-          std::make_unique<PGridPeer>(&sim, &net, Rng(seed * 17 + i), opts));
+      owned.push_back(std::make_unique<PGridPeer>(
+          &sim, &net, Mt64Head<1>(seed * 17 + i)[0], opts));
       peers.push_back(owned.back().get());
     }
   }

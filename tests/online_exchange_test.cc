@@ -25,8 +25,8 @@ struct BootstrapNet {
     xopts.max_local_keys = 24;
     Rng data_rng(seed * 13);
     for (size_t i = 0; i < n; ++i) {
-      owned.push_back(
-          std::make_unique<PGridPeer>(&sim, &net, Rng(seed * 31 + i), popts));
+      owned.push_back(std::make_unique<PGridPeer>(
+          &sim, &net, Mt64Head<1>(seed * 31 + i)[0], popts));
       peers.push_back(owned.back().get());
       agents.push_back(std::make_unique<OnlineExchangeAgent>(
           &sim, peers.back(), Rng(seed * 77 + i), xopts));

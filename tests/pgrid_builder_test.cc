@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -19,8 +22,8 @@ struct Overlay {
     PGridPeer::Options opts;
     opts.key_depth = key_depth;
     for (size_t i = 0; i < n; ++i) {
-      owned.push_back(
-          std::make_unique<PGridPeer>(&sim, &net, Rng(seed * 977 + i), opts));
+      owned.push_back(std::make_unique<PGridPeer>(
+          &sim, &net, Mt64Head<1>(seed * 977 + i)[0], opts));
       peers.push_back(owned.back().get());
     }
   }
@@ -29,6 +32,94 @@ struct Overlay {
   std::vector<std::unique_ptr<PGridPeer>> owned;
   std::vector<PGridPeer*> peers;
 };
+
+// The string-keyed WireRouting that the packed-path index replaced, kept as
+// the reference the index must reproduce ref for ref and draw for draw.
+void ReferenceWireRouting(const std::vector<PGridPeer*>& peers, Rng* rng,
+                          int refs_per_level) {
+  for (PGridPeer* p : peers) {
+    p->routing()->SetPath(p->path());
+    p->routing()->ClearLinks();
+  }
+  std::vector<std::pair<std::string, PGridPeer*>> by_path;
+  by_path.reserve(peers.size());
+  for (PGridPeer* q : peers) by_path.emplace_back(q->path().bits(), q);
+  std::sort(by_path.begin(), by_path.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // [lo, hi) of entries whose path starts with `prefix`.
+  auto prefix_range = [&](std::string prefix) {
+    auto cmp = [](const auto& e, const std::string& v) { return e.first < v; };
+    auto lo = std::lower_bound(by_path.begin(), by_path.end(), prefix, cmp);
+    while (!prefix.empty() && prefix.back() == '1') prefix.pop_back();
+    auto hi = by_path.end();
+    if (!prefix.empty()) {
+      prefix.back() = '1';
+      hi = std::lower_bound(by_path.begin(), by_path.end(), prefix, cmp);
+    }
+    return std::make_pair(lo, hi);
+  };
+  for (PGridPeer* p : peers) {
+    const Key& path = p->path();
+    for (int level = 0; level < path.length(); ++level) {
+      std::string prefix =
+          path.Prefix(level).bits() + (path.bit(level) ? '0' : '1');
+      auto [lo, hi] = prefix_range(prefix);
+      const auto m = size_t(hi - lo);
+      if (m == 0) continue;
+      if (m <= size_t(refs_per_level) * 4) {
+        std::vector<NodeId> candidates;
+        for (auto it = lo; it != hi; ++it) {
+          candidates.push_back(it->second->id());
+        }
+        rng->Shuffle(&candidates);
+        int take = std::min<int>(refs_per_level, int(candidates.size()));
+        for (int i = 0; i < take; ++i) {
+          p->routing()->AddRef(level, candidates[size_t(i)]);
+        }
+      } else {
+        int added = 0;
+        for (int attempt = 0;
+             attempt < refs_per_level * 4 && added < refs_per_level;
+             ++attempt) {
+          NodeId id = (lo + ptrdiff_t(rng->UniformInt(0, int64_t(m) - 1)))
+                          ->second->id();
+          if (p->routing()->AddRef(level, id)) ++added;
+        }
+      }
+    }
+    auto [lo, hi] = prefix_range(path.bits());
+    for (auto it = lo; it != hi; ++it) {
+      PGridPeer* q = it->second;
+      if (q != p && q->path() == path) p->routing()->AddReplica(q->id());
+    }
+  }
+}
+
+// Gives `ref` the paths `built` ended up with, wires it with the reference
+// from `ref_rng`, and expects the same refs per level, the same replica
+// lists (in order) and the same number of draws as `built` took.
+void ExpectWiringMatchesReference(const Overlay& built, Rng* built_rng,
+                                  Overlay* ref, Rng* ref_rng,
+                                  int refs_per_level) {
+  ASSERT_EQ(built.peers.size(), ref->peers.size());
+  for (size_t i = 0; i < built.peers.size(); ++i) {
+    ref->peers[i]->SetPath(built.peers[i]->path());
+  }
+  ReferenceWireRouting(ref->peers, ref_rng, refs_per_level);
+  for (size_t i = 0; i < built.peers.size(); ++i) {
+    const RoutingTable& got = *built.peers[i]->routing();
+    const RoutingTable& want = *ref->peers[i]->routing();
+    ASSERT_EQ(got.levels(), want.levels()) << "peer " << i;
+    for (int level = 0; level < got.levels(); ++level) {
+      const RefSpan g = got.RefsAt(level), w = want.RefsAt(level);
+      ASSERT_EQ(std::vector<NodeId>(g.begin(), g.end()),
+                std::vector<NodeId>(w.begin(), w.end()))
+          << "peer " << i << " level " << level;
+    }
+    ASSERT_EQ(got.replicas(), want.replicas()) << "peer " << i;
+  }
+  EXPECT_EQ(built_rng->engine()(), ref_rng->engine()());
+}
 
 TEST(PGridBuilderTest, BalancedCoversAllPaths) {
   Overlay o(8);
@@ -199,6 +290,71 @@ TEST(PGridBuilderTest, RebuildAfterBuildDropsStaleLinks) {
       ASSERT_LE(++hops, 10);
     }
   }
+}
+
+TEST(PGridBuilderTest, BalancedWiringMatchesReference) {
+  for (size_t n : {1, 2, 3, 10, 1000, 4097}) {
+    for (int refs : {2, 3}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " refs=" + std::to_string(refs));
+      Overlay built(n, /*key_depth=*/16), ref(n, /*key_depth=*/16);
+      Rng built_rng(n), ref_rng(n);
+      PGridBuilder::BuildBalanced(built.peers, &built_rng, refs);
+      ExpectWiringMatchesReference(built, &built_rng, &ref, &ref_rng, refs);
+    }
+  }
+}
+
+// BuildAdaptive shuffles the peers before splitting; the reference side
+// makes the same draws before wiring.
+void ExpectAdaptiveWiringMatchesReference(size_t n, int key_depth,
+                                          const std::vector<Key>& sample,
+                                          int min_longest_path) {
+  Overlay built(n, key_depth), ref(n, key_depth);
+  Rng built_rng(11), ref_rng(11);
+  PGridBuilder::BuildAdaptive(built.peers, sample, &built_rng);
+  int longest = 0;
+  for (auto* p : built.peers) longest = std::max(longest, p->path().length());
+  ASSERT_GE(longest, min_longest_path);
+  std::vector<PGridPeer*> shuffled = ref.peers;
+  ref_rng.Shuffle(&shuffled);
+  ExpectWiringMatchesReference(built, &built_rng, &ref, &ref_rng,
+                               /*refs_per_level=*/2);
+}
+
+TEST(PGridBuilderTest, AdaptiveWiringMatchesReferenceOnSkewedSample) {
+  OrderPreservingHash h(16);
+  std::vector<Key> sample;
+  for (int i = 0; i < 2000; ++i) sample.push_back(h(std::to_string(i)));
+  ExpectAdaptiveWiringMatchesReference(500, 16, sample, 10);
+}
+
+TEST(PGridBuilderTest, AdaptiveWiringMatchesReferencePast64Bits) {
+  // Keys sharing a ~80-bit prefix: each split on a shared bit peels one peer
+  // off, so the deep paths run past one packed word.
+  OrderPreservingHash h(96);
+  std::vector<Key> sample;
+  for (int i = 0; i < 1000; ++i) {
+    sample.push_back(h("pppppppppppppppp" + std::to_string(i)));
+  }
+  ExpectAdaptiveWiringMatchesReference(300, 96, sample, 65);
+}
+
+TEST(PGridBuilderTest, WiringMatchesReferenceOnOverlappingPaths) {
+  // Paths mid-exchange need not be prefix-free: random paths of 0-100 bits
+  // drawn from a small pool, so prefixes, duplicates and empty paths mix.
+  Rng gen(3);
+  std::vector<Key> pool;
+  for (int i = 0; i < 60; ++i) {
+    std::string bits;
+    const int64_t len = gen.UniformInt(0, i < 30 ? 6 : 100);
+    for (int64_t b = 0; b < len; ++b) bits += gen.Bernoulli(0.5) ? '1' : '0';
+    pool.push_back(Key::FromBits(bits).value());
+  }
+  Overlay built(400), ref(400);
+  for (auto* p : built.peers) p->SetPath(gen.PickOne(pool));
+  Rng built_rng(8), ref_rng(8);
+  PGridBuilder::WireRouting(built.peers, &built_rng, /*refs_per_level=*/2);
+  ExpectWiringMatchesReference(built, &built_rng, &ref, &ref_rng, 2);
 }
 
 TEST(LoadStatsTest, UniformLoadHasZeroGini) {

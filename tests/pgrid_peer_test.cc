@@ -23,8 +23,8 @@ class PGridPeerTest : public ::testing::Test {
     opts.retry.base_timeout = 2.0;
     opts.retry.max_attempts = 2;
     for (int i = 0; i < 4; ++i) {
-      peers_.push_back(
-          std::make_unique<PGridPeer>(&sim_, &net_, Rng(uint64_t(100 + i)), opts));
+      peers_.push_back(std::make_unique<PGridPeer>(
+          &sim_, &net_, Mt64Head<1>(uint64_t(100 + i))[0], opts));
     }
     std::vector<PGridPeer*> raw;
     for (auto& p : peers_) raw.push_back(p.get());

@@ -36,8 +36,8 @@ TEST_P(OverlaySweepTest, GreedyRoutingAlwaysTerminatesWithinDepth) {
   std::vector<std::unique_ptr<PGridPeer>> owned;
   std::vector<PGridPeer*> peers;
   for (size_t i = 0; i < n; ++i) {
-    owned.push_back(
-        std::make_unique<PGridPeer>(&sim, &net, Rng(seed * 3 + i), opts));
+    owned.push_back(std::make_unique<PGridPeer>(
+        &sim, &net, Mt64Head<1>(seed * 3 + i)[0], opts));
     peers.push_back(owned.back().get());
   }
   Rng rng(seed + 1);

@@ -60,7 +60,8 @@ TEST(RangeMulticastTest, ReachesEveryRegionExactlyOnce) {
   std::vector<std::unique_ptr<PGridPeer>> owned;
   std::vector<PGridPeer*> peers;
   for (int i = 0; i < 32; ++i) {
-    owned.push_back(std::make_unique<PGridPeer>(&sim, &net, Rng(7 + i), opts));
+    owned.push_back(std::make_unique<PGridPeer>(
+        &sim, &net, Mt64Head<1>(7 + i)[0], opts));
     peers.push_back(owned.back().get());
   }
   Rng rng(5);
@@ -100,7 +101,8 @@ TEST(RangeMulticastTest, RootPrefixFloodsEveryPeer) {
   std::vector<std::unique_ptr<PGridPeer>> owned;
   std::vector<PGridPeer*> peers;
   for (int i = 0; i < 16; ++i) {
-    owned.push_back(std::make_unique<PGridPeer>(&sim, &net, Rng(9 + i), opts));
+    owned.push_back(std::make_unique<PGridPeer>(
+        &sim, &net, Mt64Head<1>(9 + i)[0], opts));
     peers.push_back(owned.back().get());
   }
   Rng rng(5);

@@ -52,7 +52,8 @@ SoakOutcome RunSoak(uint64_t seed, uint32_t shards) {
   std::vector<std::unique_ptr<PGridPeer>> peers;
   for (size_t i = 0; i < kPeers; ++i) {
     peers.push_back(std::make_unique<PGridPeer>(
-        engine.SimForNext(), engine.LaneForNext(), rng.Fork(), popts));
+        engine.SimForNext(), engine.LaneForNext(),
+        Mt64Head<1>(rng.engine()())[0], popts));
   }
   std::vector<PGridPeer*> raw;
   for (auto& p : peers) raw.push_back(p.get());
