@@ -4,8 +4,9 @@
 #
 #   $ scripts/check.sh            # RelWithDebInfo build + ctest
 #   $ scripts/check.sh --asan     # ASan/UBSan build, runs store, query,
-#                                 # property, rng-seeding, wiring and
-#                                 # GridVine peer tests
+#                                 # property, rng-seeding, wiring, GridVine
+#                                 # peer, dispatch-branch, executor and
+#                                 # serving tests
 #   $ scripts/check.sh --tsan     # TSan build, runs the sharded-engine tests
 set -euo pipefail
 
@@ -35,7 +36,7 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-san -S . -DGV_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-san -j "$(nproc)" --target triple_store_test query_test \
     property_test rng_test pgrid_builder_test compact_peer_test \
-    gridvine_peer_test
+    gridvine_peer_test dispatch_branch_test executor_test serving_test
   export ASAN_OPTIONS=detect_leaks=1
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   ./build-san/tests/triple_store_test
@@ -48,6 +49,12 @@ if [[ "${1:-}" == "--asan" ]]; then
   ./build-san/tests/compact_peer_test
   # Query dispatch/reformulation bookkeeping (pending-query lifetimes).
   ./build-san/tests/gridvine_peer_test
+  # Re-entrant paths: a dispatch branch that closes inside its own open step
+  # (the issuer answers itself), and an executor that finishes inside
+  # ResolveBoundCall — with batching and the service model on too.
+  ./build-san/tests/dispatch_branch_test
+  ./build-san/tests/executor_test
+  ./build-san/tests/serving_test
   echo "sanitizer run clean"
   exit 0
 fi

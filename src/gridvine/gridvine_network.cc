@@ -169,224 +169,114 @@ void GridVineNetwork::PumpUntil(const bool* done) {
 }
 
 Status GridVineNetwork::InsertTriple(size_t peer_idx, const Triple& triple) {
-  bool done = false;
-  Status result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->InsertTriple(triple, [&](Status s) {
-      result = std::move(s);
-      done = true;
-    });
+  return RunToCompletion<Status>(peer_idx, [&](GridVinePeer* p, auto done) {
+    p->InsertTriple(triple, done);
   });
-  PumpUntil(&done);
-  return result;
 }
 
 Status GridVineNetwork::InsertTriples(size_t peer_idx,
                                       const std::vector<Triple>& triples) {
-  bool done = false;
-  Status result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->InsertTriples(triples, [&](Status s) {
-      result = std::move(s);
-      done = true;
-    });
+  return RunToCompletion<Status>(peer_idx, [&](GridVinePeer* p, auto done) {
+    p->InsertTriples(triples, done);
   });
-  PumpUntil(&done);
-  return result;
 }
 
 Status GridVineNetwork::RemoveTriple(size_t peer_idx, const Triple& triple) {
-  bool done = false;
-  Status result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->RemoveTriple(triple, [&](Status s) {
-      result = std::move(s);
-      done = true;
-    });
+  return RunToCompletion<Status>(peer_idx, [&](GridVinePeer* p, auto done) {
+    p->RemoveTriple(triple, done);
   });
-  PumpUntil(&done);
-  return result;
 }
 
 Status GridVineNetwork::InsertSchema(size_t peer_idx, const Schema& schema) {
-  bool done = false;
-  Status result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->InsertSchema(schema, [&](Status s) {
-      result = std::move(s);
-      done = true;
-    });
+  return RunToCompletion<Status>(peer_idx, [&](GridVinePeer* p, auto done) {
+    p->InsertSchema(schema, done);
   });
-  PumpUntil(&done);
-  return result;
 }
 
 Status GridVineNetwork::UpsertSchema(size_t peer_idx, const Schema& schema) {
-  bool done = false;
-  Status result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->UpsertSchema(schema, [&](Status s) {
-      result = std::move(s);
-      done = true;
-    });
+  return RunToCompletion<Status>(peer_idx, [&](GridVinePeer* p, auto done) {
+    p->UpsertSchema(schema, done);
   });
-  PumpUntil(&done);
-  return result;
 }
 
 Status GridVineNetwork::InsertMapping(size_t peer_idx,
                                       const SchemaMapping& mapping) {
-  bool done = false;
-  Status result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->InsertMapping(mapping, [&](Status s) {
-      result = std::move(s);
-      done = true;
-    });
+  return RunToCompletion<Status>(peer_idx, [&](GridVinePeer* p, auto done) {
+    p->InsertMapping(mapping, done);
   });
-  PumpUntil(&done);
-  return result;
 }
 
 Status GridVineNetwork::UpsertMapping(size_t peer_idx,
                                       const SchemaMapping& mapping) {
-  bool done = false;
-  Status result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->UpsertMapping(mapping, [&](Status s) {
-      result = std::move(s);
-      done = true;
-    });
+  return RunToCompletion<Status>(peer_idx, [&](GridVinePeer* p, auto done) {
+    p->UpsertMapping(mapping, done);
   });
-  PumpUntil(&done);
-  return result;
 }
 
 Status GridVineNetwork::PublishDegree(size_t peer_idx,
                                       const std::string& domain,
                                       const std::string& schema, int in_degree,
                                       int out_degree) {
-  bool done = false;
-  Status result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->PublishDegree(domain, schema, in_degree, out_degree,
-                                    [&](Status s) {
-                                      result = std::move(s);
-                                      done = true;
-                                    });
+  return RunToCompletion<Status>(peer_idx, [&](GridVinePeer* p, auto done) {
+    p->PublishDegree(domain, schema, in_degree, out_degree, done);
   });
-  PumpUntil(&done);
-  return result;
 }
 
 Result<Schema> GridVineNetwork::FetchSchema(size_t peer_idx,
                                             const std::string& name) {
-  bool done = false;
-  Result<Schema> result = Status::Internal("not completed");
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->FetchSchema(name, [&](Result<Schema> r) {
-      result = std::move(r);
-      done = true;
-    });
-  });
-  PumpUntil(&done);
-  return result;
+  return RunToCompletion<Result<Schema>>(
+      peer_idx,
+      [&](GridVinePeer* p, auto done) { p->FetchSchema(name, done); });
 }
 
 Result<std::vector<SchemaMapping>> GridVineNetwork::FetchMappingsFor(
     size_t peer_idx, const std::string& schema) {
-  bool done = false;
-  Result<std::vector<SchemaMapping>> result = Status::Internal("not completed");
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->FetchMappingsFor(
-        schema, [&](Result<std::vector<SchemaMapping>> r) {
-          result = std::move(r);
-          done = true;
-        });
-  });
-  PumpUntil(&done);
-  return result;
+  return RunToCompletion<Result<std::vector<SchemaMapping>>>(
+      peer_idx,
+      [&](GridVinePeer* p, auto done) { p->FetchMappingsFor(schema, done); });
 }
 
 Result<std::vector<GridVinePeer::DegreeRecord>>
 GridVineNetwork::FetchDomainDegrees(size_t peer_idx,
                                     const std::string& domain) {
-  bool done = false;
-  Result<std::vector<GridVinePeer::DegreeRecord>> result =
-      Status::Internal("not completed");
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->FetchDomainDegrees(
-        domain, [&](Result<std::vector<GridVinePeer::DegreeRecord>> r) {
-          result = std::move(r);
-          done = true;
-        });
-  });
-  PumpUntil(&done);
-  return result;
+  return RunToCompletion<Result<std::vector<GridVinePeer::DegreeRecord>>>(
+      peer_idx,
+      [&](GridVinePeer* p, auto done) { p->FetchDomainDegrees(domain, done); });
 }
 
 GridVinePeer::QueryResult GridVineNetwork::SearchFor(
     size_t peer_idx, const TriplePatternQuery& query,
     const GridVinePeer::QueryOptions& options) {
-  bool done = false;
-  GridVinePeer::QueryResult result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->SearchFor(query, options,
-                                [&](GridVinePeer::QueryResult r) {
-                                  result = std::move(r);
-                                  done = true;
-                                });
-  });
-  PumpUntil(&done);
-  return result;
+  return RunToCompletion<GridVinePeer::QueryResult>(
+      peer_idx,
+      [&](GridVinePeer* p, auto done) { p->SearchFor(query, options, done); });
 }
 
 GridVinePeer::ConjunctiveResult GridVineNetwork::SearchForConjunctive(
     size_t peer_idx, const ConjunctiveQuery& query,
     const GridVinePeer::QueryOptions& options) {
-  bool done = false;
-  GridVinePeer::ConjunctiveResult result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->SearchForConjunctive(
-        query, options, [&](GridVinePeer::ConjunctiveResult r) {
-          result = std::move(r);
-          done = true;
-        });
-  });
-  PumpUntil(&done);
-  return result;
+  return RunToCompletion<GridVinePeer::ConjunctiveResult>(
+      peer_idx, [&](GridVinePeer* p, auto done) {
+        p->SearchForConjunctive(query, options, done);
+      });
 }
 
 GridVinePeer::QueryResult GridVineNetwork::ServeFor(
     size_t peer_idx, const TriplePatternQuery& query,
     const GridVinePeer::QueryOptions& options) {
-  bool done = false;
-  GridVinePeer::QueryResult result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->frontend()->Submit(query, options,
-                                         [&](GridVinePeer::QueryResult r) {
-                                           result = std::move(r);
-                                           done = true;
-                                         });
-  });
-  PumpUntil(&done);
-  return result;
+  return RunToCompletion<GridVinePeer::QueryResult>(
+      peer_idx, [&](GridVinePeer* p, auto done) {
+        p->frontend()->Submit(query, options, done);
+      });
 }
 
 GridVinePeer::ConjunctiveResult GridVineNetwork::ServeForConjunctive(
     size_t peer_idx, const ConjunctiveQuery& query,
     const GridVinePeer::QueryOptions& options) {
-  bool done = false;
-  GridVinePeer::ConjunctiveResult result;
-  Issue(peer_idx, [&] {
-    peers_[peer_idx]->frontend()->SubmitConjunctive(
-        query, options, [&](GridVinePeer::ConjunctiveResult r) {
-          result = std::move(r);
-          done = true;
-        });
-  });
-  PumpUntil(&done);
-  return result;
+  return RunToCompletion<GridVinePeer::ConjunctiveResult>(
+      peer_idx, [&](GridVinePeer* p, auto done) {
+        p->frontend()->SubmitConjunctive(query, options, done);
+      });
 }
 
 }  // namespace gridvine

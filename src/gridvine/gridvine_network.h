@@ -4,6 +4,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -209,8 +211,32 @@ class GridVineNetwork {
  private:
   std::unique_ptr<LatencyModel> MakeLatency();
 
-  /// Pumps the simulator one event at a time until `*done` or idle.
+  /// Runs the event loop until `*done` or idle.
   void PumpUntil(const bool* done);
+
+  /// The body of every synchronous wrapper: runs `start(peer, done)` on
+  /// peer `peer_idx` through Issue and pumps until `done` receives the
+  /// operation's value. An operation the deployment goes idle without
+  /// completing yields T() — or, for a Result, Internal("not completed").
+  template <typename T, typename Start>
+  T RunToCompletion(size_t peer_idx, Start start) {
+    bool finished = false;
+    T result = [] {
+      if constexpr (std::is_default_constructible_v<T>) {
+        return T();
+      } else {
+        return T(Status::Internal("not completed"));
+      }
+    }();
+    Issue(peer_idx, [&] {
+      start(peers_[peer_idx].get(), [&](T r) {
+        result = std::move(r);
+        finished = true;
+      });
+    });
+    PumpUntil(&finished);
+    return result;
+  }
 
   /// Arms the next health tick `health_window_` seconds out (engine-agnostic).
   void ScheduleHealthTick();

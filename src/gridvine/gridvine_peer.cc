@@ -128,20 +128,7 @@ void GridVinePeer::OnStorageChange(UpdateOp op, const Key& /*key*/,
 // --- Mediation-layer updates ---------------------------------------------------
 
 void GridVinePeer::InsertTriple(const Triple& triple, StatusCallback cb) {
-  Status valid = triple.Validate();
-  if (!valid.ok()) {
-    cb(valid);
-    return;
-  }
-  std::string value = triple.Serialize();
-  auto agg = AckAggregator::Create(3, std::move(cb));
-  // Update(t) = Update(Hash(s), t), Update(Hash(p), t), Update(Hash(o), t).
-  overlay_->Update(KeyFor(triple.subject().value()), value,
-                   agg->MakeCallback());
-  overlay_->Update(KeyFor(triple.predicate().value()), value,
-                   agg->MakeCallback());
-  overlay_->Update(KeyFor(triple.object().value()), value,
-                   agg->MakeCallback());
+  InsertTriples({triple}, std::move(cb));
 }
 
 void GridVinePeer::InsertTriples(const std::vector<Triple>& triples,
@@ -159,6 +146,7 @@ void GridVinePeer::InsertTriples(const std::vector<Triple>& triples,
   }
   auto agg = AckAggregator::Create(int(triples.size()) * 3, std::move(cb));
   for (const Triple& t : triples) {
+    // Update(t) = Update(Hash(s), t), Update(Hash(p), t), Update(Hash(o), t).
     std::string value = t.Serialize();
     overlay_->Update(KeyFor(t.subject().value()), value, agg->MakeCallback());
     overlay_->Update(KeyFor(t.predicate().value()), value,
@@ -613,27 +601,22 @@ void GridVinePeer::DispatchQuery(uint64_t qid, const TriplePatternQuery& query,
     if (reply_to == id() && it2 != pending_queries_.end() &&
         !it2->second.closed) {
       // Issuer-side branch: track it and hand it to the retrying layer
-      // instead of a single fire-and-forget send. The request object is
-      // retained so a retry re-routes the identical payload.
+      // instead of a single fire-and-forget send.
       uint64_t did = next_dispatch_id_++;
       req->dispatch_id = did;
-      OpenDispatch od{req, route_key, 1, TraceCtx{}};
+      Branch b;
+      b.req = req;
+      b.route_key = route_key;
       if (Tracer* tr = LiveTracer()) {
-        od.span = tr->StartSpan("op.dispatch", it2->second.span);
-        req->trace_ctx = od.span;
+        b.span = tr->StartSpan("op.dispatch", it2->second.span);
+        req->trace_ctx = b.span;
       }
-      it2->second.open_dispatches.emplace(did, std::move(od));
-      // Route may answer synchronously (origin responsible): emplace first.
       // Iterative issuer-tracked dispatches are the batchable kind (a
       // recursive dispatch needs destination-side reformulation, which the
-      // batch handler does not perform). The retry timer is armed either
-      // way — a retry re-routes the retained request individually.
-      if (options_.batch.enabled && mode == ReformulationMode::kIterative) {
-        EnqueueBatch(route_key, req);
-      } else {
-        overlay_->Route(route_key, req);
-      }
-      ArmDispatchTimer(qid, did, 1);
+      // batch handler does not perform).
+      OpenBranch(BranchKind::kQuery, qid, did, std::move(b),
+                 options_.batch.enabled &&
+                     mode == ReformulationMode::kIterative);
       return;
     }
     overlay_->Route(route_key, std::move(req));
@@ -699,63 +682,6 @@ void GridVinePeer::IterativeExpand(uint64_t qid,
       });
 }
 
-void GridVinePeer::ArmDispatchTimer(uint64_t qid, uint64_t did, int attempt) {
-  SimTime timeout = options_.query_retry.TimeoutFor(attempt, &rng_);
-  // Captured for the retroactive backoff span: recomputing it at the fire as
-  // now - timeout is off by floating-point rounding, which can push the
-  // interval's start before its parent's.
-  SimTime armed_at = sim_->Now();
-  sim_->Schedule(timeout, [this, qid, did, attempt, armed_at] {
-    auto it = pending_queries_.find(qid);
-    if (it == pending_queries_.end() || it->second.closed) return;
-    auto d = it->second.open_dispatches.find(did);
-    // Answered in the meantime, or a newer attempt owns the timer.
-    if (d == it->second.open_dispatches.end() ||
-        d->second.attempts != attempt) {
-      return;
-    }
-    if (options_.query_retry.Exhausted(d->second.attempts)) {
-      // Branch written off: close it so iterative completion need not wait
-      // for the global query timeout.
-      CloseDispatch(it->second, qid, did);
-      return;
-    }
-    ++d->second.attempts;
-    int next_attempt = d->second.attempts;
-    Key route_key = d->second.route_key;
-    std::shared_ptr<QueryRequest> req = d->second.req;
-    if (Tracer* tr = LiveTracer()) {
-      if (d->second.span.valid()) {
-        tr->Instant("op.retry", d->second.span);
-        // Retroactive: the whole timeout window just spent waiting before
-        // this retry — what the critical-path profiler books as backoff.
-        tr->Interval("op.backoff", d->second.span, armed_at, sim_->Now());
-      }
-    }
-    // Route can resolve synchronously and erase the dispatch; do not touch
-    // `d` past this point.
-    overlay_->Route(route_key, std::move(req));
-    ArmDispatchTimer(qid, did, next_attempt);
-  });
-}
-
-void GridVinePeer::CloseDispatch(PendingQuery& p, uint64_t qid, uint64_t did) {
-  auto od = p.open_dispatches.find(did);
-  if (od != p.open_dispatches.end() && od->second.span.valid()) {
-    if (Tracer* tr = LiveTracer()) {
-      tr->Annotate(od->second.span, "attempts", double(od->second.attempts));
-      tr->EndSpan(od->second.span);
-    }
-  }
-  p.open_dispatches.erase(did);
-  bool iterative = !p.options.reformulate ||
-                   p.options.mode == ReformulationMode::kIterative;
-  if (iterative && !p.used_range_dispatch) {
-    --p.outstanding;
-    MaybeFinishIterative(qid);
-  }
-}
-
 void GridVinePeer::MaybeFinishIterative(uint64_t qid) {
   auto it = pending_queries_.find(qid);
   if (it == pending_queries_.end() || it->second.closed) return;
@@ -775,10 +701,10 @@ void GridVinePeer::FinishQuery(uint64_t qid) {
   if (p.span.valid()) {
     if (Tracer* tr = LiveTracer()) {
       // Branches still open at the timeout end with the query.
-      for (auto& [did, od] : p.open_dispatches) {
-        if (!od.span.valid()) continue;
-        tr->Annotate(od.span, "timed_out", 1.0);
-        tr->EndSpan(od.span);
+      for (auto& [did, b] : p.branches) {
+        if (!b.span.valid()) continue;
+        tr->Annotate(b.span, "timed_out", 1.0);
+        tr->EndSpan(b.span);
       }
       tr->Annotate(p.span, "reformulations", double(p.reformulations));
       tr->Annotate(p.span, "batches", double(p.batches.size()));
@@ -787,6 +713,111 @@ void GridVinePeer::FinishQuery(uint64_t qid) {
     }
   }
   p.on_finish(p);
+}
+
+// --- Dispatch branches ------------------------------------------------------------
+
+GridVinePeer::BranchTable* GridVinePeer::BranchesOf(BranchKind kind,
+                                                    uint64_t owner) {
+  if (kind == BranchKind::kQuery) {
+    auto it = pending_queries_.find(owner);
+    if (it == pending_queries_.end() || it->second.closed) return nullptr;
+    return &it->second.branches;
+  }
+  auto it = active_execs_.find(owner);
+  return it == active_execs_.end() ? nullptr : &it->second->branches;
+}
+
+void GridVinePeer::OpenBranch(BranchKind kind, uint64_t owner, uint64_t did,
+                              Branch b, bool batch) {
+  std::shared_ptr<const MessageBody> req = b.req;
+  Key route_key = b.route_key;
+  // Route may answer synchronously (the issuer is responsible for the key):
+  // register first. The timer is armed either way — a retry re-routes the
+  // retained request individually, bypassing the batcher.
+  BranchesOf(kind, owner)->emplace(did, std::move(b));
+  if (batch) {
+    EnqueueBatch(route_key, std::move(req));
+  } else {
+    overlay_->Route(route_key, std::move(req));
+  }
+  ArmBranchTimer(kind, owner, did, 1);
+}
+
+void GridVinePeer::ArmBranchTimer(BranchKind kind, uint64_t owner,
+                                  uint64_t did, int attempt) {
+  SimTime timeout = options_.query_retry.TimeoutFor(attempt, &rng_);
+  // Captured for the retroactive backoff span: recomputing it at the fire as
+  // now - timeout is off by floating-point rounding, which can push the
+  // interval's start before its parent's.
+  SimTime armed_at = sim_->Now();
+  auto fire = [this, owner, did, armed_at, attempt, kind] {
+    BranchTable* branches = BranchesOf(kind, owner);
+    if (branches == nullptr) return;
+    auto b = branches->find(did);
+    // Answered in the meantime, or a newer attempt owns the timer.
+    if (b == branches->end() || b->second.attempts != attempt) return;
+    if (options_.query_retry.Exhausted(attempt)) {
+      // Written off: the owner need not wait for it any longer.
+      CloseBranch(kind, owner, did, /*answered=*/false);
+      return;
+    }
+    int next_attempt = ++b->second.attempts;
+    std::shared_ptr<const MessageBody> req = b->second.req;
+    Key route_key = b->second.route_key;
+    if (Tracer* tr = LiveTracer()) {
+      if (b->second.span.valid()) {
+        tr->Instant("op.retry", b->second.span);
+        // Retroactive: the whole timeout window just spent waiting before
+        // this retry — what the critical-path profiler books as backoff.
+        tr->Interval("op.backoff", b->second.span, armed_at, sim_->Now());
+      }
+    }
+    // Route can answer synchronously and close the branch; do not touch `b`
+    // past this point.
+    overlay_->Route(route_key, std::move(req));
+    ArmBranchTimer(kind, owner, did, next_attempt);
+  };
+  static_assert(sizeof(fire) <= EventFn::kInlineSize,
+                "retry timers must not allocate");
+  sim_->Schedule(timeout, std::move(fire));
+}
+
+void GridVinePeer::CloseBranch(BranchKind kind, uint64_t owner, uint64_t did,
+                               bool answered) {
+  BranchTable* branches = BranchesOf(kind, owner);
+  if (branches == nullptr) return;
+  auto b = branches->find(did);
+  if (b == branches->end()) return;
+  if (b->second.span.valid()) {
+    if (Tracer* tr = LiveTracer()) {
+      tr->Annotate(b->second.span, "attempts", double(b->second.attempts));
+      if (!answered) tr->Annotate(b->second.span, "timed_out", 1.0);
+      tr->EndSpan(b->second.span);
+    }
+  }
+  uint64_t call_id = b->second.call_id;
+  branches->erase(b);
+  if (kind == BranchKind::kQuery) {
+    // Only iterative queries complete by counting branches: a recursive
+    // query also collects answers from branches its intermediaries dispatch,
+    // and a range multicast has an unknown responder count, so both wait out
+    // the query timeout.
+    PendingQuery& p = pending_queries_.at(owner);
+    bool iterative = !p.options.reformulate ||
+                     p.options.mode == ReformulationMode::kIterative;
+    if (iterative && !p.used_range_dispatch) {
+      --p.outstanding;
+      MaybeFinishIterative(owner);
+    }
+    return;
+  }
+  ActiveExec& ae = *active_execs_.at(owner);
+  auto c = ae.calls.find(call_id);
+  if (c == ae.calls.end()) return;
+  // Any exhausted branch turns the whole call into a Timeout.
+  if (!answered) c->second.timed_out = true;
+  if (--c->second.outstanding == 0) ResolveBoundCall(owner, call_id);
 }
 
 // --- Message handling -------------------------------------------------------------
@@ -927,8 +958,7 @@ void GridVinePeer::HandleQueryResponse(const QueryResponse& resp) {
   // A response for a tracked branch that is no longer open is a duplicate
   // (network duplication, or both the original and a retry answering):
   // every branch is accounted exactly once, so drop it here.
-  if (resp.dispatch_id != 0 &&
-      p.open_dispatches.find(resp.dispatch_id) == p.open_dispatches.end()) {
+  if (resp.dispatch_id != 0 && p.branches.count(resp.dispatch_id) == 0) {
     return;
   }
 
@@ -950,17 +980,12 @@ void GridVinePeer::HandleQueryResponse(const QueryResponse& resp) {
     p.batches.push_back(std::move(batch));
   }
 
+  // Untracked answers (range multicasts, recursive intermediaries) belong to
+  // queries that wait out their timeout; a tracked one closes its branch,
+  // which may complete the query.
   if (resp.dispatch_id != 0) {
-    // CloseDispatch handles the outstanding-branch accounting (and may
-    // complete the query).
-    CloseDispatch(p, resp.query_id, resp.dispatch_id);
-  } else {
-    bool iterative = !p.options.reformulate ||
-                     p.options.mode == ReformulationMode::kIterative;
-    if (iterative && !p.used_range_dispatch) {
-      --p.outstanding;
-      MaybeFinishIterative(resp.query_id);
-    }
+    CloseBranch(BranchKind::kQuery, resp.query_id, resp.dispatch_id,
+                /*answered=*/true);
   }
 }
 
@@ -1312,85 +1337,30 @@ void GridVinePeer::StartBoundScan(uint64_t exec_id,
     return;
   }
 
-  for (auto& [key, b] : batches) {
+  for (auto& [key, batch] : batches) {
     auto req = std::make_shared<BoundScanRequest>();
     req->exec_id = exec_id;
     req->pattern = pattern.Serialize();
-    req->probes = SerializeBindings(b.probes);
+    req->probes = SerializeBindings(batch.probes);
     req->reply_to = id();
     uint64_t did = next_dispatch_id_++;
     req->dispatch_id = did;
-    OpenBoundScan ob;
-    ob.req = req;
-    ob.route_key = key;
-    ob.call_id = call_id;
-    ob.global_index = std::move(b.global_index);
+    Branch b;
+    b.req = req;
+    b.route_key = key;
+    b.call_id = call_id;
+    b.global_index = std::move(batch.global_index);
     if (Tracer* tr = LiveTracer()) {
-      ob.span = tr->StartSpan("op.bound_scan", trace_parent);
-      tr->Annotate(ob.span, "probes", double(ob.global_index.size()));
-      req->trace_ctx = ob.span;
+      b.span = tr->StartSpan("op.bound_scan", trace_parent);
+      tr->Annotate(b.span, "probes", double(b.global_index.size()));
+      req->trace_ctx = b.span;
     }
-    ae.open_scans.emplace(did, std::move(ob));
-    // Route may deliver locally (synchronously); the branch must be
-    // registered first. The response itself always arrives asynchronously
-    // (SendDirect), so `ae` stays valid across this loop.
-    if (options_.batch.enabled) {
-      EnqueueBatch(key, req);
-    } else {
-      overlay_->Route(key, req);
-    }
-    ArmBoundScanTimer(exec_id, did, 1);
+    // The last branch can resolve the call inside its own open step (the
+    // issuer answers itself) and the executor may finish there; the loop
+    // holds no reference into the exec.
+    OpenBranch(BranchKind::kBoundScan, exec_id, did, std::move(b),
+               options_.batch.enabled);
   }
-}
-
-void GridVinePeer::ArmBoundScanTimer(uint64_t exec_id, uint64_t did,
-                                     int attempt) {
-  SimTime timeout = options_.query_retry.TimeoutFor(attempt, &rng_);
-  sim_->Schedule(timeout, [this, exec_id, did, attempt] {
-    auto it = active_execs_.find(exec_id);
-    if (it == active_execs_.end()) return;
-    ActiveExec& ae = *it->second;
-    auto d = ae.open_scans.find(did);
-    // Answered in the meantime, or a newer attempt owns the timer.
-    if (d == ae.open_scans.end() || d->second.attempts != attempt) return;
-    if (options_.query_retry.Exhausted(d->second.attempts)) {
-      // Branch written off: the whole call resolves as Timeout once its
-      // remaining branches close.
-      CloseBoundScan(exec_id, did, /*answered=*/false);
-      return;
-    }
-    ++d->second.attempts;
-    int next_attempt = d->second.attempts;
-    Key route_key = d->second.route_key;
-    std::shared_ptr<BoundScanRequest> req = d->second.req;
-    if (Tracer* tr = LiveTracer()) {
-      if (d->second.span.valid()) tr->Instant("op.retry", d->second.span);
-    }
-    overlay_->Route(route_key, std::move(req));
-    ArmBoundScanTimer(exec_id, did, next_attempt);
-  });
-}
-
-void GridVinePeer::CloseBoundScan(uint64_t exec_id, uint64_t did,
-                                  bool answered) {
-  auto it = active_execs_.find(exec_id);
-  if (it == active_execs_.end()) return;
-  ActiveExec& ae = *it->second;
-  auto d = ae.open_scans.find(did);
-  if (d == ae.open_scans.end()) return;
-  uint64_t call_id = d->second.call_id;
-  if (d->second.span.valid()) {
-    if (Tracer* tr = LiveTracer()) {
-      tr->Annotate(d->second.span, "attempts", double(d->second.attempts));
-      if (!answered) tr->Annotate(d->second.span, "timed_out", 1.0);
-      tr->EndSpan(d->second.span);
-    }
-  }
-  ae.open_scans.erase(d);
-  auto c = ae.calls.find(call_id);
-  if (c == ae.calls.end()) return;
-  if (!answered) c->second.timed_out = true;
-  if (--c->second.outstanding == 0) ResolveBoundCall(exec_id, call_id);
 }
 
 void GridVinePeer::ResolveBoundCall(uint64_t exec_id, uint64_t call_id) {
@@ -1505,11 +1475,11 @@ void GridVinePeer::HandleBoundScanResponse(const BoundScanResponse& resp) {
   auto it = active_execs_.find(resp.exec_id);
   if (it == active_execs_.end()) return;  // exec finished: late answer
   ActiveExec& ae = *it->second;
-  auto d = ae.open_scans.find(resp.dispatch_id);
+  auto d = ae.branches.find(resp.dispatch_id);
   // A response for a branch that is no longer open is a duplicate (both the
   // original and a retry answering): every branch is accounted exactly once.
-  if (d == ae.open_scans.end()) return;
-  OpenBoundScan& ob = d->second;
+  if (d == ae.branches.end()) return;
+  const Branch& b = d->second;
 
   std::vector<BindingSet> parsed;
   if (!resp.rows.empty()) {
@@ -1531,18 +1501,19 @@ void GridVinePeer::HandleBoundScanResponse(const BoundScanResponse& resp) {
     parsed.resize(resp.probe_index.size());
   }
 
-  auto c = ae.calls.find(ob.call_id);
+  auto c = ae.calls.find(b.call_id);
   if (c != ae.calls.end()) {
     for (size_t i = 0; i < parsed.size(); ++i) {
       uint32_t local = resp.probe_index[i];
-      if (local >= ob.global_index.size()) continue;
+      if (local >= b.global_index.size()) continue;
       QueryBackend::BoundRow br;
-      br.probe_index = ob.global_index[local];
+      br.probe_index = b.global_index[local];
       br.bindings = std::move(parsed[i]);
       c->second.rows.push_back(std::move(br));
     }
   }
-  CloseBoundScan(resp.exec_id, resp.dispatch_id, /*answered=*/true);
+  CloseBranch(BranchKind::kBoundScan, resp.exec_id, resp.dispatch_id,
+              /*answered=*/true);
 }
 
 // --- Statistics layer ---------------------------------------------------------

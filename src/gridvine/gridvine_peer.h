@@ -369,17 +369,27 @@ class GridVinePeer {
     std::vector<BindingSet> rows;
   };
 
-  /// One retried dispatch branch of a pending query: the request is kept so
-  /// a retry re-routes the identical payload (same dispatch_id — duplicate
-  /// answers collapse onto one branch closure).
-  struct OpenDispatch {
-    std::shared_ptr<QueryRequest> req;
+  /// One retried dispatch branch the issuer tracks: a query branch of a
+  /// pending query, or one destination key region of a bound-scan call. The
+  /// request is kept so a retry re-routes the identical payload (same
+  /// dispatch_id — duplicate answers collapse onto one branch closure).
+  struct Branch {
+    std::shared_ptr<const MessageBody> req;
     Key route_key;
     int attempts = 1;
-    /// "op.dispatch" branch span; attempts' flights and retry markers
-    /// parent here.
+    /// "op.dispatch" or "op.bound_scan" span; attempts' flights, retry
+    /// markers and backoff intervals parent here.
     TraceCtx span;
+    /// Bound scans only: the BoundCall this branch reports to, and its local
+    /// probe indexes mapped back to the call's.
+    uint64_t call_id = 0;
+    std::vector<uint32_t> global_index;
   };
+  /// A branch owner's open branches, keyed by dispatch_id.
+  using BranchTable = std::unordered_map<uint64_t, Branch>;
+  /// Who owns a branch: a pending query (owner id = query id) or a
+  /// conjunctive executor (owner id = exec id).
+  enum class BranchKind : uint8_t { kQuery, kBoundScan };
 
   struct PendingQuery {
     TriplePatternQuery query;
@@ -393,8 +403,8 @@ class GridVinePeer {
     SimTime first_result = -1;
     // Iterative-mode bookkeeping: branches still expected to answer.
     int outstanding = 0;
-    // Dispatch branches awaiting an answer, keyed by dispatch_id.
-    std::unordered_map<uint64_t, OpenDispatch> open_dispatches;
+    // Dispatch branches awaiting an answer.
+    BranchTable branches;
     // Range (multicast) dispatches have an unknown number of responders:
     // such a query only completes at its timeout.
     bool used_range_dispatch = false;
@@ -429,31 +439,30 @@ class GridVinePeer {
   void FinishQuery(uint64_t qid);
   void MaybeFinishIterative(uint64_t qid);
 
-  /// Arms the per-branch retry timer for `attempt` of dispatch `did`: on
-  /// expiry the branch is re-routed (backoff per Options::query_retry) or,
-  /// once exhausted, closed so the query can complete without it.
-  void ArmDispatchTimer(uint64_t qid, uint64_t did, int attempt);
-  /// Closes one open dispatch branch and updates completion bookkeeping.
-  void CloseDispatch(PendingQuery& p, uint64_t qid, uint64_t did);
+  // --- Dispatch branches (both request kinds) ------------------------------
+
+  /// The open branches of `owner`, or nullptr once it has finished.
+  BranchTable* BranchesOf(BranchKind kind, uint64_t owner);
+  /// Registers branch `b` (its request already stamped with dispatch id
+  /// `did` and the branch span) with its live owner, batches or routes the
+  /// request, and arms the first retry timer. The branch may close inside
+  /// this call when the issuer answers itself.
+  void OpenBranch(BranchKind kind, uint64_t owner, uint64_t did, Branch b,
+                  bool batch);
+  /// The one retry timer: on expiry of `attempt` the branch's retained
+  /// request is re-routed (backoff per Options::query_retry, recorded as
+  /// op.retry + op.backoff) or, once exhausted, the branch is closed.
+  void ArmBranchTimer(BranchKind kind, uint64_t owner, uint64_t did,
+                      int attempt);
+  /// Ends the branch span and reports the branch answered or exhausted to
+  /// its owner: the query's outstanding count, or the bound call.
+  void CloseBranch(BranchKind kind, uint64_t owner, uint64_t did,
+                   bool answered);
 
   // --- Bind-join transport (the QueryBackend the executor drives) ----------
 
   /// The peer-side QueryBackend implementation (defined in the .cc).
   class ExecBackend;
-
-  /// One retried bound-scan dispatch branch (one destination key region of
-  /// one BoundScan call). The request is retained so a retry re-routes the
-  /// identical payload; duplicate answers collapse onto one branch closure.
-  struct OpenBoundScan {
-    std::shared_ptr<BoundScanRequest> req;
-    Key route_key;
-    int attempts = 1;
-    uint64_t call_id = 0;
-    /// Maps the branch's local probe indexes back to the call's.
-    std::vector<uint32_t> global_index;
-    /// "op.bound_scan" branch span.
-    TraceCtx span;
-  };
 
   /// One QueryBackend::BoundScan invocation: its probes fan out to one
   /// dispatch branch per destination key region; the call resolves once
@@ -470,26 +479,21 @@ class GridVinePeer {
   struct ActiveExec {
     std::unique_ptr<QueryBackend> backend;
     std::unique_ptr<ConjunctiveExecutor> executor;
-    std::unordered_map<uint64_t, OpenBoundScan> open_scans;  // by dispatch_id
-    std::unordered_map<uint64_t, BoundCall> calls;           // by call id
+    BranchTable branches;                           // bound-scan branches
+    std::unordered_map<uint64_t, BoundCall> calls;  // by call id
     uint64_t next_call_id = 1;
     /// "op.cquery" root span covering the whole conjunctive query.
     TraceCtx span;
   };
 
   /// Dispatches one BoundScan call: partitions the probes per destination
-  /// key region, routes one batched request per region, arms retries.
-  /// `trace_parent` parents the per-branch "op.bound_scan" spans (normally
-  /// the executor's operator span).
+  /// key region and opens one branch per region. `trace_parent` parents the
+  /// per-branch "op.bound_scan" spans (normally the executor's operator
+  /// span).
   void StartBoundScan(uint64_t exec_id, const TriplePattern& pattern,
                       std::vector<BindingSet> probes,
                       QueryBackend::BoundScanCallback cb,
                       TraceCtx trace_parent = TraceCtx{});
-  /// Per-branch retry timer, mirroring ArmDispatchTimer.
-  void ArmBoundScanTimer(uint64_t exec_id, uint64_t did, int attempt);
-  /// Closes one branch (answered or exhausted) and resolves the call once
-  /// its last branch closes.
-  void CloseBoundScan(uint64_t exec_id, uint64_t did, bool answered);
   void ResolveBoundCall(uint64_t exec_id, uint64_t call_id);
 
   /// Extension dispatch from the overlay.
@@ -553,8 +557,8 @@ class GridVinePeer {
 
   Simulator* sim_;
   Network* network_;
-  /// Retry-jitter stream (ArmDispatchTimer / ArmBoundScanTimer); one machine
-  /// word, as every peer carries one.
+  /// Retry-jitter stream (ArmBranchTimer); one machine word, as every peer
+  /// carries one.
   CompactRng rng_;
   Options options_;
   OrderPreservingHash hash_;

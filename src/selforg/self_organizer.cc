@@ -327,22 +327,14 @@ SelfOrganizer::RoundReport SelfOrganizer::RunRound() {
     total_created_ += report.mappings_created;
   }
 
-  // Step 4: assess automatic mappings; deprecate the bad ones. The
-  // incremental path converges only the dirty region of the maintained
-  // factor graph (capped); the legacy path rebuilds from scratch.
+  // Step 4: assess automatic mappings; deprecate the bad ones. Only the
+  // dirty region of the maintained factor graph re-converges (capped).
   SyncGraphView();
-  std::map<std::string, double> posteriors;
-  if (options_.incremental) {
-    IncrementalAssessor::UpdateStats stats = inc_assessor_.Update();
-    report.bp_messages = stats.messages;
-    report.bp_converged = stats.converged;
-    report.bp_factors = inc_assessor_.factor_count();
-    posteriors = inc_assessor_.Posteriors();
-  } else {
-    MappingAssessor assessor(options_.assessor);
-    posteriors = assessor.Assess(view_).posterior;
-  }
-  for (const auto& [id, posterior] : posteriors) {
+  IncrementalAssessor::UpdateStats stats = inc_assessor_.Update();
+  report.bp_messages = stats.messages;
+  report.bp_converged = stats.converged;
+  report.bp_factors = inc_assessor_.factor_count();
+  for (const auto& [id, posterior] : inc_assessor_.Posteriors()) {
     if (posterior >= options_.deprecate_below) continue;
     auto m = view_.Get(id);
     if (!m.ok() || m->deprecated()) continue;

@@ -50,11 +50,6 @@ class SelfOrganizer {
     int value_sample_limit = 64;
     /// Reformulation hops used when sampling attribute values.
     uint64_t seed = 42;
-    /// Incremental assessment: a persistent graph view feeds add/deprecate/
-    /// re-intern events into a maintained factor graph (IncrementalAssessor)
-    /// instead of rebuilding and re-converging from scratch each round.
-    /// false = the legacy full recompute, kept for differentials/ablations.
-    bool incremental = true;
     /// Per-round factor->variable message budget for incremental assessment;
     /// unconverged regions resume next round.
     size_t assess_message_cap = 50000;
@@ -95,7 +90,7 @@ class SelfOrganizer {
     /// schema evolution), not by the Bayesian assessment.
     size_t mappings_stale_deprecated = 0;
     size_t active_mappings = 0;
-    /// Incremental-assessment effort this round (0 when incremental=false).
+    /// Incremental-assessment effort this round.
     size_t bp_messages = 0;
     size_t bp_factors = 0;
     bool bp_converged = true;
