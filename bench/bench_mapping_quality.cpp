@@ -62,7 +62,7 @@ TrialResult RunTrial(const BioWorkload& workload, double error_rate,
 
   std::set<std::string> deprecated;
   for (const auto& [id, posterior] : assessment.posterior) {
-    if (posterior < 0.45) deprecated.insert(id);
+    if (posterior < SelfOrganizer::kDeprecateBelow) deprecated.insert(id);
   }
   TrialResult result;
   result.observations = assessment.observations.size();

@@ -5,8 +5,8 @@
 #   $ scripts/check.sh            # RelWithDebInfo build + ctest
 #   $ scripts/check.sh --asan     # ASan/UBSan build, runs store, query,
 #                                 # property, rng-seeding, wiring, GridVine
-#                                 # peer, dispatch-branch, executor and
-#                                 # serving tests
+#                                 # peer, dispatch-branch, executor, serving,
+#                                 # fault and selforg tests
 #   $ scripts/check.sh --tsan     # TSan build, runs the sharded-engine tests
 set -euo pipefail
 
@@ -36,7 +36,9 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-san -S . -DGV_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-san -j "$(nproc)" --target triple_store_test query_test \
     property_test rng_test pgrid_builder_test compact_peer_test \
-    gridvine_peer_test dispatch_branch_test executor_test serving_test
+    gridvine_peer_test dispatch_branch_test executor_test serving_test \
+    churn_test retry_policy_test network_test conjunctive_chaos_test \
+    incremental_assessor_test self_organizer_test embedding_test
   export ASAN_OPTIONS=detect_leaks=1
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   ./build-san/tests/triple_store_test
@@ -55,6 +57,17 @@ if [[ "${1:-}" == "--asan" ]]; then
   ./build-san/tests/dispatch_branch_test
   ./build-san/tests/executor_test
   ./build-san/tests/serving_test
+  # Fault layer (churn, retries, transport faults, the layered selforg chaos
+  # run) and the selforg unit binaries (incremental/full differential and
+  # property walls). None reads GV_SOAK_SEED, so they run once here rather
+  # than per soak seed in CI's fault matrix.
+  ./build-san/tests/churn_test
+  ./build-san/tests/retry_policy_test
+  ./build-san/tests/network_test
+  ./build-san/tests/conjunctive_chaos_test
+  ./build-san/tests/incremental_assessor_test
+  ./build-san/tests/self_organizer_test
+  ./build-san/tests/embedding_test
   echo "sanitizer run clean"
   exit 0
 fi

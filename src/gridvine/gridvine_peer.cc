@@ -1,6 +1,7 @@
 #include "gridvine/gridvine_peer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -18,6 +19,20 @@
 namespace gridvine {
 
 namespace {
+
+/// Cross-query batching: a region's buffer flushes this many simulated
+/// seconds after its first request, or as soon as it holds kBatchMaxItems.
+constexpr SimTime kBatchWindow = 0.005;
+constexpr size_t kBatchMaxItems = 32;
+
+/// Parses all of `field` as a decimal number; false on an empty field,
+/// trailing bytes or overflow.
+template <typename T>
+bool ParseWhole(const std::string& field, T* out) {
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 /// Record-type prefixes distinguishing non-triple values in overlay storage.
 bool IsStructuredRecord(const std::string& value) {
@@ -78,10 +93,7 @@ GridVinePeer::GridVinePeer(Simulator* sim, Network* network,
         OnStorageChange(op, key, value);
       });
   if (options_.cache.enabled) {
-    ExtentCache::Options copts;
-    copts.max_entries = options_.cache.max_entries;
-    copts.max_bytes = options_.cache.max_bytes;
-    cache_ = std::make_unique<ExtentCache>(copts);
+    cache_ = std::make_unique<ExtentCache>();
   }
   if (options_.stats.enabled) {
     StatsCache::Options sopts;
@@ -322,6 +334,14 @@ void GridVinePeer::FetchMappingsFor(
 void GridVinePeer::PublishDegree(const std::string& domain,
                                  const std::string& schema, int in_degree,
                                  int out_degree, StatusCallback cb) {
+  Status valid = Schema::ValidateName(schema);
+  if (valid.ok() && (in_degree < 0 || out_degree < 0)) {
+    valid = Status::InvalidArgument("negative degree for schema " + schema);
+  }
+  if (!valid.ok()) {
+    cb(valid);
+    return;
+  }
   std::string record = "conn|" + schema + "|" + std::to_string(in_degree) +
                        "|" + std::to_string(out_degree) + "|" +
                        std::to_string(next_version_++);
@@ -353,9 +373,14 @@ void GridVinePeer::FetchDomainDegrees(
           if (parts.size() != 5) continue;
           DegreeRecord rec;
           rec.schema = parts[1];
-          rec.in_degree = std::atoi(parts[2].c_str());
-          rec.out_degree = std::atoi(parts[3].c_str());
-          rec.version = std::strtoull(parts[4].c_str(), nullptr, 10);
+          // Records are untrusted DHT bytes: every field must parse whole,
+          // under the rules PublishDegree enforces.
+          if (!Schema::ValidateName(rec.schema).ok() ||
+              !ParseWhole(parts[2], &rec.in_degree) || rec.in_degree < 0 ||
+              !ParseWhole(parts[3], &rec.out_degree) || rec.out_degree < 0 ||
+              !ParseWhole(parts[4], &rec.version)) {
+            continue;
+          }
           auto it = latest.find(rec.schema);
           if (it == latest.end() || it->second.version < rec.version) {
             latest[rec.schema] = rec;
@@ -464,8 +489,8 @@ uint64_t GridVinePeer::StartQuery(
   }
   pending_queries_.emplace(qid, std::move(p));
 
-  int max_hops = options.max_hops >= 0 ? options.max_hops
-                                       : options_.max_reformulation_hops;
+  int max_hops =
+      options.max_hops >= 0 ? options.max_hops : kMaxReformulationHops;
   SimTime timeout =
       options.timeout > 0 ? options.timeout : options_.query_timeout;
 
@@ -645,7 +670,7 @@ void GridVinePeer::IterativeExpand(uint64_t qid,
   if (it == pending_queries_.end() || it->second.closed) return;
   int max_hops = it->second.options.max_hops >= 0
                      ? it->second.options.max_hops
-                     : options_.max_reformulation_hops;
+                     : kMaxReformulationHops;
   if (depth >= max_hops) return;
 
   ++it->second.outstanding;  // the mapping fetch itself
@@ -1625,18 +1650,17 @@ void GridVinePeer::EnqueueBatch(const Key& key,
     Key k = key;
     // The window runs in simulated time, so batching composition is part of
     // the deterministic event order (same seed => same batches).
-    sim_->Schedule(options_.batch.window,
-                   [this, k, gen] { FlushBatch(k, gen); });
+    sim_->Schedule(kBatchWindow, [this, k, gen] { FlushBatch(k, gen); });
   }
   buf.parts.push_back(std::move(part));
   ++counters_.batch_items;
-  if (buf.parts.size() >= options_.batch.max_items) FlushBatch(key, buf.gen);
+  if (buf.parts.size() >= kBatchMaxItems) FlushBatch(key, buf.gen);
 }
 
 void GridVinePeer::FlushBatch(const Key& key, uint64_t gen) {
   auto it = batch_buffers_.find(key);
-  // Already flushed at max_items (a later buffer for the key carries a newer
-  // generation), or empty: the window timer has nothing to do.
+  // Already flushed at kBatchMaxItems (a later buffer for the key carries a
+  // newer generation), or empty: the window timer has nothing to do.
   if (it == batch_buffers_.end() || it->second.gen != gen ||
       it->second.parts.empty()) {
     return;

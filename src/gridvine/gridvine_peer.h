@@ -49,14 +49,15 @@ class QueryFrontend;
 /// entries this peer is responsible for.
 class GridVinePeer {
  public:
+  /// Max mappings chained during reformulation (iterative BFS depth and
+  /// recursive TTL) unless QueryOptions::max_hops overrides it.
+  static constexpr int kMaxReformulationHops = 6;
+
   struct Options {
     /// Bits of overlay keys produced by the order-preserving hash.
     int key_depth = 16;
     /// Window a query waits for (more) answers before reporting.
     SimTime query_timeout = 10.0;
-    /// Max mappings chained during reformulation (iterative BFS depth and
-    /// recursive TTL).
-    int max_reformulation_hops = 6;
     /// Retry discipline for the issuing peer's query dispatches (the
     /// reliable query layer): a branch that has not answered within the
     /// backed-off window is re-routed, up to max_attempts, instead of being
@@ -72,22 +73,20 @@ class GridVinePeer {
 
     /// Responder-side result/extent cache (query/extent_cache.h): identical
     /// pattern + bound-constant signatures are answered from the cached wire
-    /// payload, validated against TripleStore::version().
+    /// payload, validated against TripleStore::version(). Bounded by
+    /// ExtentCache::Options' defaults.
     struct CacheOptions {
       bool enabled = false;
-      size_t max_entries = 4096;
-      size_t max_bytes = 4u << 20;
     } cache;
 
     /// Cross-query batching: issuer-tracked RemoteScan/BoundScan requests
     /// headed to the same key region coalesce into one BatchEnvelope within
-    /// `window` simulated seconds (or as soon as `max_items` accumulate).
-    /// Retries always re-route the retained individual request, bypassing
-    /// the batcher, so a lost envelope never strands its branches.
+    /// kBatchWindow simulated seconds (or as soon as kBatchMaxItems
+    /// accumulate). Retries always re-route the retained individual
+    /// request, bypassing the batcher, so a lost envelope never strands its
+    /// branches.
     struct BatchOptions {
       bool enabled = false;
-      SimTime window = 0.005;
-      size_t max_items = 32;
     } batch;
 
     /// Responder-side service-time model: answering a scan occupies the
@@ -212,11 +211,13 @@ class GridVinePeer {
   };
 
   /// Publishes (schema, in, out) under Hash(domain), superseding this peer's
-  /// previous record for the schema (version counter).
+  /// previous record for the schema (version counter). InvalidArgument for
+  /// a schema name Schema::ValidateName rejects or a negative degree.
   void PublishDegree(const std::string& domain, const std::string& schema,
                      int in_degree, int out_degree, StatusCallback cb);
 
-  /// Retrieves the registry for `domain`: latest record per schema.
+  /// Retrieves the registry for `domain`: latest record per schema. Records
+  /// with a field that does not parse completely are skipped.
   void FetchDomainDegrees(
       const std::string& domain,
       std::function<void(Result<std::vector<DegreeRecord>>)> cb);
@@ -228,7 +229,7 @@ class GridVinePeer {
     /// single-schema resolution.)
     bool reformulate = false;
     ReformulationMode mode = ReformulationMode::kIterative;
-    /// Override of Options::max_reformulation_hops when >= 0.
+    /// Override of kMaxReformulationHops when >= 0.
     int max_hops = -1;
     /// Override of Options::query_timeout when > 0.
     SimTime timeout = -1;
@@ -524,8 +525,8 @@ class GridVinePeer {
   // --- Serving layer --------------------------------------------------------
 
   /// Appends an issuer-tracked request to the destination region's pending
-  /// batch, scheduling a flush at now + Options::batch.window when the
-  /// buffer was empty (flushing early at max_items).
+  /// batch, scheduling a flush at now + kBatchWindow when the buffer was
+  /// empty (flushing early at kBatchMaxItems).
   void EnqueueBatch(const Key& key, std::shared_ptr<const MessageBody> part);
   /// Sends one region's pending batch; `gen` guards the window timer against
   /// a buffer that was already flushed (overflow) and restarted since.

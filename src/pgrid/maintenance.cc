@@ -4,6 +4,17 @@
 
 namespace gridvine {
 
+namespace {
+
+/// Consecutive missed probes before a reference is evicted — absorbs
+/// transient churn (a peer that is briefly offline keeps its slot).
+constexpr int kEvictAfterMisses = 2;
+/// Evicted contacts are parked and re-probed for re-adoption (a churned
+/// peer that returns gets its slot back). Cap on the parking set.
+constexpr size_t kMaxParked = 32;
+
+}  // namespace
+
 MaintenanceAgent::MaintenanceAgent(Simulator* sim, PGridPeer* peer, Rng rng,
                                    Options options)
     : sim_(sim), peer_(peer), rng_(rng), options_(options) {
@@ -82,11 +93,11 @@ void MaintenanceAgent::Probe(NodeId target, ProbeKind kind) {
       // Tolerate transient churn: evict only after several consecutive
       // misses, and keep the contact parked for later re-adoption.
       int misses = ++miss_counts_[probe.target];
-      if (misses >= options_.evict_after_misses) {
+      if (misses >= kEvictAfterMisses) {
         peer_->routing()->RemoveRef(probe.target);
         peer_->routing()->RemoveReplica(probe.target);
         miss_counts_.erase(probe.target);
-        if (parked_.size() < options_.max_parked) {
+        if (parked_.size() < kMaxParked) {
           parked_.insert(probe.target);
         }
         ++stats_.refs_removed;

@@ -34,12 +34,6 @@ class MaintenanceAgent {
     SimTime probe_timeout = 3.0;
     /// Levels holding fewer refs than this trigger the refill phase.
     int min_refs_per_level = 2;
-    /// Consecutive missed probes before a reference is evicted — absorbs
-    /// transient churn (a peer that is briefly offline keeps its slot).
-    int evict_after_misses = 2;
-    /// Evicted contacts are parked and re-probed for re-adoption (a churned
-    /// peer that returns gets its slot back). Cap on the parking set.
-    size_t max_parked = 32;
   };
 
   MaintenanceAgent(Simulator* sim, PGridPeer* peer, Rng rng, Options options);

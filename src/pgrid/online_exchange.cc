@@ -9,6 +9,9 @@ namespace gridvine {
 
 namespace {
 
+/// Random-walk length for partner sampling.
+constexpr int kWalkTtl = 5;
+
 /// Partner sampling: a TTL-bounded random walk over routing links.
 struct WalkRequest : MessageBody {
   uint64_t txn = 0;
@@ -60,15 +63,16 @@ struct ExchangeReply : MessageBody {
   int split_bit = 0;  // kSpecialize: the bit the initiator appends
   /// Entries now belonging to the initiator.
   std::vector<std::pair<std::string, std::string>> entries;
-  /// Ref gossip: ids the initiator may classify (it learns their levels by
-  /// maintenance probing later; here only same-prefix levels are shipped).
-  std::vector<NodeId> gossip_refs;
+  /// Ref gossip: the responder's (level, ref) pairs above the divergence
+  /// level. Both peers share that prefix, so each is a valid ref for the
+  /// initiator at the same level.
+  std::vector<std::pair<int, NodeId>> gossip_refs;
   MsgType TypeTag() const override {
     static const MsgType t = MsgType::Intern("pgrid.exch_reply");
     return t;
   }
   size_t SizeBytes() const override {
-    size_t n = 32 + gossip_refs.size() * 4;
+    size_t n = 32 + gossip_refs.size() * 5;
     for (const auto& [k, v] : entries) n += k.size() / 8 + v.size();
     return n;
   }
@@ -137,8 +141,22 @@ void OnlineExchangeAgent::InitiateEncounter() {
   auto walk = std::make_shared<WalkRequest>();
   walk->txn = next_txn_++;
   walk->initiator = peer_->id();
-  walk->ttl = options_.walk_ttl;
+  walk->ttl = kWalkTtl;
   peer_->SendMessage(rng_.PickOne(contacts), std::move(walk));
+}
+
+void OnlineExchangeAgent::EncounterWith(NodeId partner) {
+  ++stats_.encounters_started;
+  SendHello(next_txn_++, partner);
+}
+
+void OnlineExchangeAgent::SendHello(uint64_t txn, NodeId partner) {
+  auto hello = std::make_shared<ExchangeHello>();
+  hello->txn = txn;
+  hello->initiator = peer_->id();
+  hello->path = peer_->path();
+  hello->load = peer_->StorageSize();
+  peer_->SendMessage(partner, std::move(hello));
 }
 
 void OnlineExchangeAgent::ApplyEntries(
@@ -204,12 +222,7 @@ bool OnlineExchangeAgent::OnMessage(NodeId from, const MessageBody& body) {
   }
   if (const auto* result = dynamic_cast<const WalkResult*>(&body)) {
     if (result->endpoint == peer_->id()) return true;  // walked back home
-    auto hello = std::make_shared<ExchangeHello>();
-    hello->txn = result->txn;
-    hello->initiator = peer_->id();
-    hello->path = peer_->path();
-    hello->load = peer_->StorageSize();
-    peer_->SendMessage(result->endpoint, std::move(hello));
+    SendHello(result->txn, result->endpoint);
     return true;
   }
 
@@ -251,6 +264,7 @@ bool OnlineExchangeAgent::OnMessage(NodeId from, const MessageBody& body) {
       reply->action = ExchangeAction::kSpecialize;
       reply->split_bit = 1 - mine.bit(level);
       peer_->routing()->AddRef(level, hello->initiator);
+      reply->entries = EvictEntriesFor(theirs.WithBit(reply->split_bit));
       ++stats_.specializations;
     } else if (l == mine.length()) {
       // Our path is a prefix of the initiator's: WE specialize.
@@ -266,7 +280,7 @@ bool OnlineExchangeAgent::OnMessage(NodeId from, const MessageBody& body) {
       reply->action = ExchangeAction::kRefsOnly;
       for (int level = 0; level < l; ++level) {
         for (NodeId ref : peer_->routing()->RefsAt(level)) {
-          reply->gossip_refs.push_back(ref);
+          reply->gossip_refs.emplace_back(level, ref);
         }
       }
       reply->entries = EvictEntriesFor(theirs);
@@ -313,9 +327,10 @@ bool OnlineExchangeAgent::OnMessage(NodeId from, const MessageBody& body) {
       }
     }
     ApplyEntries(reply->entries);
-    // Gossip refs are only *candidates*: classify by probing is the
-    // maintenance agent's job; here we cheaply keep them as seeds.
-    for (NodeId ref : reply->gossip_refs) AddSeedContact(ref);
+    // Paths only grow, so the prefix shared at Hello time still holds.
+    for (const auto& [level, ref] : reply->gossip_refs) {
+      if (ref != peer_->id()) peer_->routing()->AddRef(level, ref);
+    }
 
     // Commit: hand the responder whatever we hold that is now theirs (for
     // replicate: everything, so the replica converges to the union).

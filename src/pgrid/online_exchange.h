@@ -13,9 +13,8 @@
 
 namespace gridvine {
 
-/// P-Grid construction running over the simulated network itself (the
-/// message-driven counterpart of ExchangeProtocol, which manipulates peers
-/// out-of-band). Each agent periodically:
+/// P-Grid's self-organizing construction (Aberer, CoopIS'01), running over
+/// the simulated network itself. Each agent periodically:
 ///
 ///   1. samples a uniform-ish random partner with a TTL random walk over the
 ///      current routing links (bootstrapped by a seed contact list);
@@ -37,8 +36,6 @@ class OnlineExchangeAgent {
   struct Options {
     /// Seconds between initiated encounters.
     SimTime period = 10.0;
-    /// Random-walk length for partner sampling.
-    int walk_ttl = 5;
     /// A pair with identical paths splits when it jointly holds more than
     /// this many entries (and the key depth allows).
     size_t max_local_keys = 64;
@@ -56,8 +53,11 @@ class OnlineExchangeAgent {
   void Start();
   void Stop() { running_ = false; }
 
-  /// Initiates one encounter immediately (tests).
+  /// Initiates one encounter immediately with a walk-sampled partner
+  /// (tests, churn rejoin).
   void InitiateEncounter();
+  /// Runs one exchange transaction with `partner`, skipping the walk.
+  void EncounterWith(NodeId partner);
 
   struct Stats {
     uint64_t encounters_started = 0;
@@ -75,6 +75,8 @@ class OnlineExchangeAgent {
 
  private:
   void ScheduleNext();
+  /// Opens transaction `txn` with `partner` (the Hello message).
+  void SendHello(uint64_t txn, NodeId partner);
   /// Picks a random contact for walking (seed list + routing links).
   std::vector<NodeId> KnownContacts() const;
   void ApplyEntries(const std::vector<std::pair<std::string, std::string>>&);

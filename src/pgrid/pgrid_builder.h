@@ -11,9 +11,9 @@ namespace gridvine {
 
 /// Deterministic overlay construction: assigns peer paths and wires routing
 /// tables in one pass. This models the *converged* state of P-Grid's
-/// decentralized construction (see ExchangeProtocol for the self-organizing
-/// path) and is what experiments use so results do not depend on bootstrap
-/// randomness.
+/// decentralized construction (see OnlineExchangeAgent for the
+/// self-organizing path) and is what experiments use so results do not
+/// depend on bootstrap randomness.
 class PGridBuilder {
  public:
   /// Assigns the 2^d distinct d-bit paths, d = floor(log2 n), round-robin;
@@ -34,7 +34,7 @@ class PGridBuilder {
   /// (Re)wires routing references and replica links from the peers' current
   /// paths: for every peer and level l, picks up to `refs_per_level` random
   /// peers from the complementary subtree at l. Idempotent; also usable as a
-  /// repair pass after ExchangeProtocol.
+  /// repair pass after exchange-based construction.
   static void WireRouting(const std::vector<PGridPeer*>& peers, Rng* rng,
                           int refs_per_level);
 };

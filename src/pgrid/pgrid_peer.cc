@@ -102,7 +102,6 @@ void PGridPeer::ApplyLocal(UpdateOp op, const Key& key,
 
 void PGridPeer::ReplicateToSiblings(UpdateOp op, const Key& key,
                                     const std::string& value) {
-  if (!options_.replicate_updates) return;
   for (NodeId replica : routing_.replicas()) {
     auto msg = std::make_shared<ReplicaUpdate>();
     msg->key = key;

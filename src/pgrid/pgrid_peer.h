@@ -61,8 +61,6 @@ class PGridPeer : public NetworkNode {
     int max_refs_per_level = 4;
     /// Timeout/backoff/attempt discipline for Retrieve/Update/Remove.
     RetryPolicy retry;
-    /// Push mutations to replicas σ(p)?
-    bool replicate_updates = true;
     /// Hard bound on forwarding chain length (loop safety net).
     int max_hops = 64;
     /// Load-aware replica selection for fire-and-forget routed payloads

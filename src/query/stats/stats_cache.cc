@@ -4,6 +4,13 @@
 
 namespace gridvine {
 
+namespace {
+
+/// Cap on retained per-pattern observations (oldest dropped first).
+constexpr size_t kMaxObserved = 4096;
+
+}  // namespace
+
 const StoreSketch* StatsCache::Lookup(const std::string& region, double now) {
   auto it = sketches_.find(region);
   if (it == sketches_.end()) {
@@ -32,7 +39,7 @@ void StatsCache::Put(const std::string& region, StoreSketch sketch,
 
 void StatsCache::Observe(const std::string& pattern, double rows, double now) {
   ++stats_.observations;
-  if (observed_.size() >= options_.max_observed &&
+  if (observed_.size() >= kMaxObserved &&
       observed_.find(pattern) == observed_.end()) {
     // Evict the stalest observation to stay bounded.
     auto oldest = observed_.begin();

@@ -28,8 +28,6 @@ class StatsCache {
   struct Options {
     /// Staleness bound, simulated seconds.
     double ttl = 60.0;
-    /// Cap on retained per-pattern observations (oldest dropped first).
-    size_t max_observed = 4096;
   };
   struct Stats {
     uint64_t hits = 0;

@@ -49,11 +49,16 @@ bool HasReservedChar(const std::string& s) {
 
 }  // namespace
 
-Status Schema::Validate() const {
-  if (name_.empty()) return Status::InvalidArgument("schema name empty");
-  if (HasReservedChar(name_)) {
-    return Status::InvalidArgument("schema name has reserved char: " + name_);
+Status Schema::ValidateName(const std::string& name) {
+  if (name.empty()) return Status::InvalidArgument("schema name empty");
+  if (HasReservedChar(name)) {
+    return Status::InvalidArgument("schema name has reserved char: " + name);
   }
+  return Status::OK();
+}
+
+Status Schema::Validate() const {
+  GV_RETURN_NOT_OK(ValidateName(name_));
   if (HasReservedChar(domain_)) {
     return Status::InvalidArgument("domain has reserved char: " + domain_);
   }

@@ -47,9 +47,12 @@ class Schema {
   /// The local part of an attribute URI (after the last '#').
   static std::string LocalOfUri(const std::string& uri);
 
-  /// Checks invariants: non-empty name, no reserved characters ('#', '\t',
-  /// '|') in the name or attribute names, no duplicate attributes.
+  /// Checks invariants: a valid name (ValidateName), no reserved characters
+  /// in the domain or attribute names, no duplicate attributes.
   Status Validate() const;
+  /// A schema name is non-empty and free of the reserved characters '#',
+  /// '\t', '|' and ','.
+  static Status ValidateName(const std::string& name);
 
   /// Line format "schema|<name>|<domain>|attr1,attr2,...".
   std::string Serialize() const;

@@ -10,6 +10,10 @@ namespace gridvine {
 
 namespace {
 
+/// Residual threshold: a message change below this does not re-dirty its
+/// neighborhood.
+constexpr double kResidualTolerance = 1e-10;
+
 /// MappingsFrom returns reversed views of bidirectional mappings with a
 /// "~rev" id suffix; the factor graph works in normalized ids.
 std::string NormalizeId(const std::string& id) {
@@ -47,7 +51,7 @@ void IncrementalAssessor::Attach(MappingGraph* graph) {
     if (!m || m->deprecated()) continue;
     if (m->provenance() == MappingProvenance::kAutomatic) {
       double p = m->confidence();
-      prior_[id] = (p > 0 && p < 1) ? p : options_.assess.default_prior;
+      prior_[id] = (p > 0 && p < 1) ? p : kDefaultMappingPrior;
     }
   }
   for (const std::string& id : ids) {
@@ -100,7 +104,7 @@ void IncrementalAssessor::HandleAdd(const MappingGraph& graph,
   if (!m || m->deprecated()) return;
   if (m->provenance() == MappingProvenance::kAutomatic) {
     double p = m->confidence();
-    prior_[id] = (p > 0 && p < 1) ? p : options_.assess.default_prior;
+    prior_[id] = (p > 0 && p < 1) ? p : kDefaultMappingPrior;
   }
   for (const FactorKey& key : CycleSetsContaining(graph, id)) {
     if (!factors_.count(key)) InsertFactor(graph, key);
@@ -311,8 +315,8 @@ double IncrementalAssessor::FactorToVarMessage(const Factor& f,
   for (size_t j = 0; j < f.vars.size(); ++j) {
     if (j != slot) q *= f.msg_vf[j];
   }
-  const double eps = options_.assess.epsilon;
-  const double del = options_.assess.delta;
+  const double eps = kCycleEpsilon;
+  const double del = kCycleDelta;
   double mu_good, mu_bad;
   if (f.consistent) {
     mu_good = (1 - eps) * q + del * (1 - q);
@@ -348,7 +352,7 @@ IncrementalAssessor::UpdateStats IncrementalAssessor::Update() {
       for (size_t i = 0; i < f.vars.size(); ++i) {
         double next = FactorToVarMessage(f, i);
         ++stats.messages;
-        if (std::fabs(next - f.msg_fv[i]) > options_.tolerance) {
+        if (std::fabs(next - f.msg_fv[i]) > kResidualTolerance) {
           MarkNeighborsDirty(f.vars[i], fit->first);
         }
         f.msg_fv[i] = next;
@@ -417,9 +421,9 @@ std::map<std::string, double> IncrementalAssessor::AssessWithFixedSchedule()
       inc[lf[fi].f->vars[i]].push_back({fi, i});
     }
   }
-  const double eps = options_.assess.epsilon;
-  const double del = options_.assess.delta;
-  for (int iter = 0; iter < options_.assess.bp_iterations; ++iter) {
+  const double eps = kCycleEpsilon;
+  const double del = kCycleDelta;
+  for (int iter = 0; iter < kBpIterations; ++iter) {
     for (auto& l : lf) {
       for (size_t i = 0; i < l.vf.size(); ++i) {
         double q = 1.0;

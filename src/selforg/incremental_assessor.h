@@ -56,16 +56,12 @@ namespace gridvine {
 class IncrementalAssessor : public MappingGraph::Listener {
  public:
   struct Options {
-    /// Cycle-enumeration and BP parameters shared with the batch assessor
-    /// (max_cycle_len, epsilon/delta, default_prior, bp_iterations,
-    /// min_chained_attributes).
+    /// Cycle-enumeration parameters shared with the batch assessor (the
+    /// BP model constants live in mapping_assessor.h).
     MappingAssessor::Options assess;
     /// Factor->variable messages recomputed per Update() call. Unconverged
     /// factors stay dirty and resume next round.
     size_t message_cap = 50000;
-    /// Residual threshold: a message change below this does not re-dirty
-    /// its neighborhood.
-    double tolerance = 1e-10;
   };
 
   struct UpdateStats {
@@ -100,7 +96,7 @@ class IncrementalAssessor : public MappingGraph::Listener {
   double Posterior(const std::string& id) const;
 
   /// Cold-start sum-product with the batch assessor's fixed Jacobi schedule
-  /// (bp_iterations synchronous sweeps) over the *maintained* structure, in
+  /// (kBpIterations synchronous sweeps) over the *maintained* structure, in
   /// canonical factor order. Pure: does not touch the incremental message
   /// state. Bit-identical across event histories that yield the same graph
   /// content — the object the differential test compares.

@@ -51,7 +51,7 @@ MappingAssessor::CycleObservation MappingAssessor::CheckCycle(
     if (walked == attr) ++consistent;
   }
   obs.attributes_checked = completed;
-  if (completed < options_.min_chained_attributes) {
+  if (completed < kMinChainedAttributes) {
     obs.attributes_checked = 0;  // insufficient evidence
     return obs;
   }
@@ -79,7 +79,7 @@ MappingAssessor::Assessment MappingAssessor::Assess(
       if (!orig.ok() || orig->deprecated()) continue;
       if (orig->provenance() == MappingProvenance::kManual) continue;
       double p = orig->confidence();
-      prior[id] = (p > 0 && p < 1) ? p : options_.default_prior;
+      prior[id] = (p > 0 && p < 1) ? p : kDefaultMappingPrior;
       auto_ids.push_back(id);
     }
   }
@@ -134,9 +134,9 @@ MappingAssessor::Assessment MappingAssessor::Assess(
     }
   }
 
-  const double eps = options_.epsilon;
-  const double del = options_.delta;
-  for (int iter = 0; iter < options_.bp_iterations; ++iter) {
+  const double eps = kCycleEpsilon;
+  const double del = kCycleDelta;
+  for (int iter = 0; iter < kBpIterations; ++iter) {
     // Factor -> variable.
     for (size_t f = 0; f < factors.size(); ++f) {
       for (size_t i = 0; i < factors[f].vars.size(); ++i) {

@@ -9,6 +9,21 @@
 
 namespace gridvine {
 
+// Cycle-evidence model and BP schedule, shared by MappingAssessor and
+// IncrementalAssessor.
+
+/// P(inconsistent | all correct): partial correspondences, noise.
+inline constexpr double kCycleEpsilon = 0.15;
+/// P(consistent | some incorrect): accidental closure.
+inline constexpr double kCycleDelta = 0.10;
+/// Prior correctness for automatic mappings without creator confidence.
+inline constexpr double kDefaultMappingPrior = 0.7;
+/// Belief-propagation sweeps of the fixed (Jacobi) schedule.
+inline constexpr int kBpIterations = 12;
+/// A cycle needs at least this many attributes surviving the full chain to
+/// produce an observation at all.
+inline constexpr int kMinChainedAttributes = 1;
+
 /// Bayesian mapping-quality analysis via transitive closures (paper Section
 /// 3.2, after the ICDE'06 "Probabilistic Message Passing in PDMS" technique):
 ///
@@ -22,8 +37,8 @@ namespace gridvine {
 /// variables are the automatic mappings (manual ones are clamped correct, as
 /// prescribed by the paper) and whose factors are the cycle observations:
 ///
-///   P(cycle consistent | all mappings correct)     = 1 − epsilon
-///   P(cycle consistent | any mapping incorrect)    = delta
+///   P(cycle consistent | all mappings correct)     = 1 − kCycleEpsilon
+///   P(cycle consistent | any mapping incorrect)    = kCycleDelta
 ///
 /// The posterior P(mapping correct | all cycles) is returned per mapping.
 class MappingAssessor {
@@ -31,17 +46,6 @@ class MappingAssessor {
   struct Options {
     /// Max cycle length (edges) enumerated per mapping.
     int max_cycle_len = 4;
-    /// P(inconsistent | all correct): partial correspondences, noise.
-    double epsilon = 0.15;
-    /// P(consistent | some incorrect): accidental closure.
-    double delta = 0.10;
-    /// Prior correctness for automatic mappings without creator confidence.
-    double default_prior = 0.7;
-    /// Belief-propagation sweeps.
-    int bp_iterations = 12;
-    /// A cycle needs at least this many attributes surviving the full chain
-    /// to produce an observation at all.
-    int min_chained_attributes = 1;
   };
 
   /// Default-configured assessor (definition below the class: a nested

@@ -9,13 +9,9 @@ namespace gridvine {
 
 namespace {
 
-IncrementalAssessor::Options MakeAssessorOptions(
-    const SelfOrganizer::Options& o) {
-  IncrementalAssessor::Options a;
-  a.assess = o.assessor;
-  a.message_cap = o.assess_message_cap;
-  return a;
-}
+/// Object values (and subjects) sampled per attribute for the set-distance
+/// measure and the shared-reference count (queries the live network).
+constexpr size_t kValueSampleLimit = 64;
 
 }  // namespace
 
@@ -23,7 +19,7 @@ SelfOrganizer::SelfOrganizer(GridVineNetwork* net, Options options)
     : net_(net),
       options_(options),
       rng_(options.seed),
-      inc_assessor_(MakeAssessorOptions(options)) {
+      inc_assessor_(IncrementalAssessor::Options{.assess = options.assessor}) {
   inc_assessor_.Attach(&view_);
 }
 
@@ -95,7 +91,7 @@ AttributeMatcher::ValueSets SelfOrganizer::SampleValueSets(
     if (!res.status.ok()) continue;
     std::set<std::string>& values = sets[attr];
     for (const auto& item : res.items) {
-      if (int(values.size()) >= options_.value_sample_limit) break;
+      if (values.size() >= kValueSampleLimit) break;
       values.insert(item.value.value());
     }
   }
@@ -111,7 +107,7 @@ std::set<std::string> SelfOrganizer::SampleSubjects(const Schema& schema) {
     auto res = net_->SearchFor(issuer, q);
     if (!res.status.ok()) continue;
     for (const auto& item : res.items) {
-      if (int(subjects.size()) >= options_.value_sample_limit) break;
+      if (subjects.size() >= kValueSampleLimit) break;
       subjects.insert(item.value.value());
     }
   }
@@ -286,11 +282,9 @@ SelfOrganizer::RoundReport SelfOrganizer::RunRound() {
   // Step 0 (agreement maintenance): schemas may have evolved since the last
   // round; mappings with dangling correspondences are deprecated so the
   // creation step can re-derive them against the current definitions.
-  if (options_.repair_stale_mappings) {
-    report.stale_deprecated_ids = RepairStaleMappings();
-    report.mappings_stale_deprecated = report.stale_deprecated_ids.size();
-    total_stale_deprecated_ += report.mappings_stale_deprecated;
-  }
+  report.stale_deprecated_ids = RepairStaleMappings();
+  report.mappings_stale_deprecated = report.stale_deprecated_ids.size();
+  total_stale_deprecated_ += report.mappings_stale_deprecated;
 
   // Step 1+2: publish degrees, read the indicator back from the registry.
   PublishAllDegrees().ok();
@@ -335,7 +329,7 @@ SelfOrganizer::RoundReport SelfOrganizer::RunRound() {
   report.bp_converged = stats.converged;
   report.bp_factors = inc_assessor_.factor_count();
   for (const auto& [id, posterior] : inc_assessor_.Posteriors()) {
-    if (posterior >= options_.deprecate_below) continue;
+    if (posterior >= kDeprecateBelow) continue;
     auto m = view_.Get(id);
     if (!m.ok() || m->deprecated()) continue;
     SchemaMapping deprecated = *m;

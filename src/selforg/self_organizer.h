@@ -43,26 +43,16 @@ class SelfOrganizer {
     MappingAssessor::Options assessor;
     /// Mappings created per round while ci < 0.
     int creations_per_round = 2;
-    /// Posterior below which an automatic mapping is deprecated.
-    double deprecate_below = 0.45;
-    /// How many object values per attribute are sampled for the set-distance
-    /// measure (queries the live network).
-    int value_sample_limit = 64;
-    /// Reformulation hops used when sampling attribute values.
+    /// Seeds the candidate-pair tie-break shuffle.
     uint64_t seed = 42;
-    /// Per-round factor->variable message budget for incremental assessment;
-    /// unconverged regions resume next round.
-    size_t assess_message_cap = 50000;
-    /// Agreement maintenance under schema evolution: deprecate active
-    /// mappings whose correspondences reference attribute URIs absent from
-    /// the current schema definitions (they are then re-derived by the
-    /// creation step in later rounds).
-    bool repair_stale_mappings = true;
     /// Vector size for the matcher's precomputed-embedding channel (built
     /// locally from sampled values; only used while
     /// matcher.embedding_weight > 0).
     int embedding_dim = 64;
   };
+
+  /// Posterior below which an automatic mapping is deprecated.
+  static constexpr double kDeprecateBelow = 0.45;
 
   SelfOrganizer(GridVineNetwork* net, Options options);
 

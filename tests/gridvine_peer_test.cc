@@ -359,6 +359,47 @@ TEST_F(GridVineTest, DegreeRegistryKeepsLatestVersion) {
   }
 }
 
+TEST_F(GridVineTest, PublishDegreeRejectsBadInput) {
+  // A reserved character would split the record into extra fields.
+  EXPECT_TRUE(net_.PublishDegree(0, "bio", "a|b", 3, 4).IsInvalidArgument());
+  EXPECT_TRUE(net_.PublishDegree(0, "bio", "", 1, 1).IsInvalidArgument());
+  EXPECT_TRUE(net_.PublishDegree(0, "bio", "EMBL", -1, 2).IsInvalidArgument());
+  EXPECT_TRUE(net_.PublishDegree(0, "bio", "EMBL", 1, -2).IsInvalidArgument());
+  ASSERT_TRUE(net_.PublishDegree(0, "bio", "EMBL", 1, 2).ok());
+
+  auto records = net_.FetchDomainDegrees(5, "bio");
+  ASSERT_TRUE(records.ok()) << records.status();
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_EQ((*records)[0].schema, "EMBL");
+}
+
+TEST_F(GridVineTest, DegreeDecodeSkipsMalformedRecords) {
+  ASSERT_TRUE(net_.PublishDegree(0, "bio", "EMBL", 1, 2).ok());
+  // Raw records written straight to the domain key, bypassing
+  // PublishDegree's checks: an overflowing degree, non-numeric degrees, a
+  // trailing byte, a negative degree and a non-numeric version.
+  const Key domain_key = net_.peer(0)->hasher()("bio");
+  for (const std::string record :
+       {"conn|X|99999999999999999999|1|7", "conn|Y|abc|def|8",
+        "conn|Z|1x|2|9", "conn|W|-1|2|10", "conn|V|1|2|v11"}) {
+    bool done = false;
+    net_.peer(3)->overlay()->Update(
+        domain_key, record, [&](Result<PGridPeer::UpdateOutcome> r) {
+          EXPECT_TRUE(r.ok()) << r.status();
+          done = true;
+        });
+    net_.Settle();
+    ASSERT_TRUE(done) << record;
+  }
+
+  auto records = net_.FetchDomainDegrees(5, "bio");
+  ASSERT_TRUE(records.ok()) << records.status();
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_EQ((*records)[0].schema, "EMBL");
+  EXPECT_EQ((*records)[0].in_degree, 1);
+  EXPECT_EQ((*records)[0].out_degree, 2);
+}
+
 TEST_F(GridVineTest, ConjunctiveQueryJoins) {
   // ?x is an Aspergillus organism AND has length ?l.
   ConjunctiveQuery q(

@@ -6,7 +6,6 @@
 
 #include <set>
 
-#include "mapping/path_materializer.h"
 #include "sim/churn.h"
 #include "workload/bio_workload.h"
 #include "gridvine/gridvine_network.h"
@@ -190,59 +189,6 @@ TEST(IntegrationTest, AdaptiveRebuildThenFullWorkflow) {
   std::set<std::string> found;
   for (const auto& item : res.items) found.insert(item.value.value());
   EXPECT_GT(BioWorkload::Recall(gq, found), 0.9);
-}
-
-TEST(IntegrationTest, MaterializedShortcutCutsReformulationDepth) {
-  GridVineNetwork::Options o;
-  o.num_peers = 24;
-  o.key_depth = 20;
-  o.seed = 31;
-  o.latency = GridVineNetwork::LatencyKind::kConstant;
-  o.latency_param = 0.02;
-  o.peer.query_timeout = 8.0;
-  GridVineNetwork net(o);
-
-  // Chain A -> B -> C -> D with one matching datum in D.
-  const std::vector<std::string> schemas = {"A", "B", "C", "D"};
-  MappingGraph graph;
-  for (size_t s = 0; s < schemas.size(); ++s) {
-    ASSERT_TRUE(
-        net.InsertSchema(s, Schema(schemas[s], "d", {"organism"})).ok());
-  }
-  ASSERT_TRUE(net.InsertTriple(3, T("d-entity", "D#organism", "match me"))
-                  .ok());
-  for (size_t s = 0; s + 1 < schemas.size(); ++s) {
-    SchemaMapping m(schemas[s] + schemas[s + 1], schemas[s], schemas[s + 1]);
-    ASSERT_TRUE(m.AddCorrespondence(schemas[s] + "#organism",
-                                    schemas[s + 1] + "#organism")
-                    .ok());
-    ASSERT_TRUE(net.InsertMapping(s, m).ok());
-    graph.AddMapping(m);
-  }
-
-  TriplePatternQuery q("x",
-                       TriplePattern(Term::Var("x"), Term::Uri("A#organism"),
-                                     Term::Literal("%match%")));
-  GridVinePeer::QueryOptions qopts;
-  qopts.reformulate = true;
-  auto before = net.SearchFor(0, q, qopts);
-  ASSERT_TRUE(before.status.ok());
-  ASSERT_EQ(before.items.size(), 1u);
-  EXPECT_EQ(before.items[0].mapping_path_len, 3);
-
-  // Materialize the A -> D shortcut from the graph view and publish it.
-  PathMaterializer::Options popts;
-  popts.min_path_len = 3;
-  PathMaterializer pm(popts);
-  auto shortcuts = pm.SelectAndMaterialize(graph);
-  ASSERT_EQ(shortcuts.size(), 1u);
-  ASSERT_TRUE(net.InsertMapping(0, shortcuts[0]).ok());
-
-  auto after = net.SearchFor(0, q, qopts);
-  ASSERT_TRUE(after.status.ok());
-  ASSERT_EQ(after.items.size(), 1u);
-  // The shortcut wins: one reformulation hop instead of three.
-  EXPECT_EQ(after.items[0].mapping_path_len, 1);
 }
 
 TEST(IntegrationTest, RecursiveModeMatchesIterativeResults) {

@@ -82,6 +82,68 @@ TEST(OnlineExchangeTest, TwoLightPeersReplicate) {
   EXPECT_EQ(b.peers[1]->StorageSize(), 8u);
 }
 
+// Neither peer holds an entry that only its partner is responsible for: the
+// post-condition every encounter leaves behind.
+void ExpectDrained(const PGridPeer* a, const PGridPeer* b) {
+  for (auto [holder, other] : {std::pair{a, b}, std::pair{b, a}}) {
+    for (const auto& [k, v] : holder->storage()) {
+      EXPECT_FALSE(!holder->IsResponsibleFor(k) && other->IsResponsibleFor(k))
+          << holder->path() << " holds " << k << " for " << other->path();
+    }
+  }
+}
+
+TEST(OnlineExchangeTest, ShorterPathSpecializesAgainstLongerPath) {
+  BootstrapNet b(2, 3, /*items_per_peer=*/20);
+  b.peers[1]->SetPath(Key::FromBits("01").value());
+  b.agents[0]->InitiateEncounter();
+  b.sim.Run();
+  // Peer 0 (empty path) specializes away from peer 1's subtree: bit 0 of
+  // peer 1 is 0, so peer 0 takes "1".
+  EXPECT_EQ(b.peers[0]->path().bits(), "1");
+  EXPECT_EQ(b.peers[1]->path().bits(), "01");
+  ASSERT_EQ(b.peers[0]->routing()->RefsAt(0).size(), 1u);
+  EXPECT_EQ(b.peers[0]->routing()->RefsAt(0)[0], b.peers[1]->id());
+  ASSERT_EQ(b.peers[1]->routing()->RefsAt(0).size(), 1u);
+  EXPECT_EQ(b.peers[1]->routing()->RefsAt(0)[0], b.peers[0]->id());
+  ExpectDrained(b.peers[0], b.peers[1]);
+}
+
+TEST(OnlineExchangeTest, DivergentPathsExchangeRefsAndGossip) {
+  BootstrapNet b(3, 5, /*items_per_peer=*/0);
+  b.peers[0]->SetPath(Key::FromBits("00").value());
+  b.peers[1]->SetPath(Key::FromBits("01").value());
+  b.peers[2]->SetPath(Key::FromBits("10").value());
+  // Give peer 0 a level-0 ref that peer 1 lacks.
+  b.peers[0]->routing()->AddRef(0, b.peers[2]->id());
+  b.agents[1]->EncounterWith(b.peers[0]->id());
+  b.sim.Run();
+  // Divergence at level 1: mutual refs there.
+  ASSERT_EQ(b.peers[0]->routing()->RefsAt(1).size(), 1u);
+  EXPECT_EQ(b.peers[0]->routing()->RefsAt(1)[0], b.peers[1]->id());
+  ASSERT_EQ(b.peers[1]->routing()->RefsAt(1).size(), 1u);
+  EXPECT_EQ(b.peers[1]->routing()->RefsAt(1)[0], b.peers[0]->id());
+  // Gossip: peer 1 learned peer 0's level-0 ref (valid for both, since they
+  // share the prefix above the divergence level).
+  ASSERT_EQ(b.peers[1]->routing()->RefsAt(0).size(), 1u);
+  EXPECT_EQ(b.peers[1]->routing()->RefsAt(0)[0], b.peers[2]->id());
+}
+
+TEST(OnlineExchangeTest, DataDrainsToResponsiblePeer) {
+  // The entry crosses in the Commit when its holder initiates, and in the
+  // Reply when its holder responds.
+  for (size_t initiator : {0u, 1u}) {
+    BootstrapNet b(2, 3, /*items_per_peer=*/0);
+    b.peers[0]->SetPath(Key::FromBits("0").value());
+    b.peers[1]->SetPath(Key::FromBits("1").value());
+    b.peers[0]->InsertLocal(Key::FromBits("11000000").value(), "belongs-to-1");
+    b.agents[initiator]->InitiateEncounter();
+    b.sim.Run();
+    EXPECT_EQ(b.peers[0]->StorageSize(), 0u) << "initiator " << initiator;
+    EXPECT_EQ(b.peers[1]->StorageSize(), 1u) << "initiator " << initiator;
+  }
+}
+
 TEST(OnlineExchangeTest, NetworkSpecializesOverSimulatedTime) {
   BootstrapNet b(24, 7);
   for (auto& agent : b.agents) agent->Start();

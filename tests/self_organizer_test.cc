@@ -228,7 +228,8 @@ TEST_F(SelfOrganizerTest, IncrementalRoundMatchesFullRecompute) {
   for (const auto& [id, posterior] :
        MappingAssessor(opts.assessor).Assess(view).posterior) {
     auto m = view.Get(id);
-    if (posterior < opts.deprecate_below && m.ok() && !m->deprecated()) {
+    if (posterior < SelfOrganizer::kDeprecateBelow && m.ok() &&
+        !m->deprecated()) {
       expected.push_back(id);
     }
   }

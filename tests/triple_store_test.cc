@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "store/ntriples_loader.h"
-
 namespace gridvine {
 namespace {
 
@@ -224,20 +222,6 @@ TEST_F(TripleStoreTest, CompactionPreservesResultsUnderMassErase) {
   ASSERT_TRUE(store.Insert(T("s0", "p0", "o0")).ok());
   EXPECT_EQ(store.Select(TriplePattern(Term::Uri("s0"), Term::Var("p"),
                                        Term::Var("o"))).size(), 1u);
-}
-
-TEST_F(TripleStoreTest, LoadNTriplesBulkLoads) {
-  TripleStore store;
-  std::string text =
-      "<seq1> <EMBL#Organism> \"Aspergillus niger\" .\n"
-      "# a comment line\n"
-      "<seq1> <EMBL#Length> \"1204\" .\n"
-      "<seq2> <EMBL#Organism> \"Penicillium\" .\n";
-  auto n = LoadNTriples(text, &store);
-  ASSERT_TRUE(n.ok()) << n.status();
-  EXPECT_EQ(*n, 3u);
-  EXPECT_EQ(store.size(), 3u);
-  EXPECT_TRUE(store.Contains(T("seq2", "EMBL#Organism", "Penicillium")));
 }
 
 // Property sweep: store N triples, every one findable by each index.
