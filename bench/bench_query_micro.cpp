@@ -1,6 +1,6 @@
 // Microbenchmarks of query reformulation over an in-memory mapping graph:
-// raw ExpandQuery (re-deriving the BFS for every query, as the seed did)
-// versus the memoized ReformulationCache, plus single-edge Reformulate.
+// ExpandQuery (the BFS over mapping paths, re-derived for every query) and
+// single-edge Reformulate.
 //
 // google-benchmark binary; run with --benchmark_filter=... to narrow.
 
@@ -9,7 +9,6 @@
 #include <string>
 
 #include "query/reformulation.h"
-#include "query/reformulation_cache.h"
 
 namespace gridvine {
 namespace {
@@ -44,17 +43,6 @@ void BM_ExpandQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ExpandQuery)->Arg(8)->Arg(32)->Arg(128);
-
-void BM_ExpandQueryCached(benchmark::State& state) {
-  MappingGraph g = BuildGraph(int(state.range(0)));
-  auto q = OrganismQuery("S0");
-  ReformulationCache cache;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Expand(q, g, 8));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ExpandQueryCached)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_Reformulate(benchmark::State& state) {
   SchemaMapping m("ab", "A", "B");

@@ -4,9 +4,10 @@
 #
 #   $ scripts/check.sh            # RelWithDebInfo build + ctest
 #   $ scripts/check.sh --asan     # ASan/UBSan build, runs store, query,
-#                                 # property, rng-seeding, wiring, GridVine
-#                                 # peer, dispatch-branch, executor, serving,
-#                                 # fault and selforg tests
+#                                 # planner, property, rng-seeding, wiring,
+#                                 # GridVine peer, dispatch-branch, executor,
+#                                 # serving, fault, sharded, trace and
+#                                 # selforg tests
 #   $ scripts/check.sh --tsan     # TSan build, runs the sharded-engine tests
 set -euo pipefail
 
@@ -35,14 +36,16 @@ fi
 if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-san -S . -DGV_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-san -j "$(nproc)" --target triple_store_test query_test \
-    property_test rng_test pgrid_builder_test compact_peer_test \
+    planner_test property_test rng_test pgrid_builder_test compact_peer_test \
     gridvine_peer_test dispatch_branch_test executor_test serving_test \
     churn_test retry_policy_test network_test conjunctive_chaos_test \
+    sharded_determinism_test sharded_soak_test trace_test \
     incremental_assessor_test self_organizer_test embedding_test
   export ASAN_OPTIONS=detect_leaks=1
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   ./build-san/tests/triple_store_test
   ./build-san/tests/query_test
+  ./build-san/tests/planner_test
   ./build-san/tests/property_test
   # Per-peer seed derivation and packed-path wiring: the bit packing and
   # word shifts are what UBSan checks here.
@@ -65,6 +68,12 @@ if [[ "${1:-}" == "--asan" ]]; then
   ./build-san/tests/retry_policy_test
   ./build-san/tests/network_test
   ./build-san/tests/conjunctive_chaos_test
+  # The sharded delivery path (lanes on the shared transport policy, the
+  # cross-shard mailboxes) and the trace end-op hand-off across the barrier:
+  # TSan checks their races, these runs check object lifetimes.
+  ./build-san/tests/sharded_determinism_test
+  ./build-san/tests/sharded_soak_test
+  ./build-san/tests/trace_test
   ./build-san/tests/incremental_assessor_test
   ./build-san/tests/self_organizer_test
   ./build-san/tests/embedding_test

@@ -1173,7 +1173,8 @@ std::vector<PatternEstimate> GridVinePeer::EstimatesFor(
     }
     if (ests[i].known) any_known = true;
   }
-  // All-unknown estimates must select the legacy greedy plan verbatim.
+  // All-unknown estimates plan as no estimates do: the greedy order, no
+  // est_cards and so no adaptive re-planning.
   if (!any_known) ests.clear();
   return ests;
 }

@@ -16,22 +16,19 @@ void MappingGraph::AddMapping(const SchemaMapping& mapping) {
   std::string serialized = mapping.Serialize();
   auto it = mappings_.find(mapping.id());
   if (it != mappings_.end()) {
-    // Re-intern path: only a genuine content change bumps the version and
-    // notifies; re-syncing an unchanged record is free.
+    // Re-intern path: only a genuine content change notifies; re-syncing an
+    // unchanged record is free.
     if (it->second->Serialize() == serialized) return;
     it->second = MappingPool().Intern(serialized, mapping);
-    ++version_;
     if (listener_) listener_->OnMappingReplaced(*this, mapping.id());
     return;
   }
   mappings_[mapping.id()] = MappingPool().Intern(serialized, mapping);
-  ++version_;
   if (listener_) listener_->OnMappingAdded(*this, mapping.id());
 }
 
 bool MappingGraph::RemoveMapping(const std::string& id) {
   if (mappings_.erase(id) == 0) return false;
-  ++version_;
   if (listener_) listener_->OnMappingRemoved(*this, id);
   return true;
 }
@@ -45,7 +42,6 @@ bool MappingGraph::Deprecate(const std::string& id) {
     SchemaMapping updated = *it->second;
     updated.set_deprecated(true);
     it->second = MappingPool().Intern(updated.Serialize(), updated);
-    ++version_;
     if (listener_) listener_->OnMappingDeprecated(*this, id);
   }
   return true;

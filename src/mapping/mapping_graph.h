@@ -52,8 +52,8 @@ class MappingGraph {
   void AddSchema(const std::string& name);
   /// Adds or replaces a mapping (keyed by id). Schemas are added implicitly.
   /// Re-adding a mapping whose serialized content is unchanged is a no-op:
-  /// no version bump, no listener event — so periodically re-syncing a view
-  /// from fetched records does not invalidate dependent caches.
+  /// no listener event — so periodically re-syncing a view from fetched
+  /// records does not disturb a listener's incremental state.
   void AddMapping(const SchemaMapping& mapping);
   /// Removes a mapping entirely; true if present.
   bool RemoveMapping(const std::string& id);
@@ -63,12 +63,6 @@ class MappingGraph {
   /// At most one listener; pass nullptr to detach. The listener must outlive
   /// the graph or be detached first.
   void SetListener(Listener* listener) { listener_ = listener; }
-
-  /// Monotonic counter bumped by every edge-set change (AddMapping with new
-  /// or changed content, RemoveMapping, first Deprecate). Lets derived
-  /// structures — notably the ReformulationCache — detect staleness with a
-  /// single integer compare.
-  uint64_t version() const { return version_; }
 
   Result<SchemaMapping> Get(const std::string& id) const;
   /// The shared immutable object for `id`, or null. No copy.
@@ -131,7 +125,6 @@ class MappingGraph {
 
   std::set<std::string> schemas_;
   std::map<std::string, std::shared_ptr<const SchemaMapping>> mappings_;
-  uint64_t version_ = 0;
   Listener* listener_ = nullptr;
 };
 

@@ -39,8 +39,6 @@ class OnlineExchangeAgent {
     /// A pair with identical paths splits when it jointly holds more than
     /// this many entries (and the key depth allows).
     size_t max_local_keys = 64;
-    /// Give up on a transaction after this long.
-    SimTime transaction_timeout = 10.0;
   };
 
   OnlineExchangeAgent(Simulator* sim, PGridPeer* peer, Rng rng,

@@ -54,10 +54,10 @@ struct PlanGroup {
   std::vector<size_t> patterns;
   /// The operator chain resolving this group to a binding set.
   std::vector<PlanStep> steps;
-  /// Cost-based plans only (empty otherwise): the estimated running join
-  /// cardinality after each pattern in `patterns`, parallel to it. 0 marks a
-  /// position the model could not estimate — the adaptive executor skips its
-  /// divergence check there.
+  /// Plans built with estimates only (empty otherwise, and on existence
+  /// checks): the estimated running join cardinality after each pattern in
+  /// `patterns`, parallel to it. 0 marks a position the model could not
+  /// estimate — the adaptive executor skips its divergence check there.
   std::vector<double> est_cards;
 };
 

@@ -15,15 +15,14 @@ namespace gridvine {
 /// peer that owns a hot key region re-matches an identical pattern — or an
 /// identical bound-probe batch — thousands of times).
 ///
-/// Keying follows the ReformulationCache recipe, extended to data instead of
-/// mappings: the pattern serialization is interned once into a small id
+/// Keying: the pattern serialization is interned once into a small id
 /// table ("interned pattern ids"), and the bound-constant signature (the
 /// serialized probe batch for bind-join scans; empty for full scans) is
 /// hashed next to it. Entries remember the TripleStore::version() they were
 /// computed against; any insert/erase/compaction bumps the store version and
 /// a stale entry is dropped on its next lookup (counted as an
 /// invalidation + miss). There is no explicit invalidation hook — one
-/// integer compare per lookup, exactly like MappingGraph versioning.
+/// integer compare per lookup.
 ///
 /// Values are wire-ready: the serialized row payload plus the probe-index
 /// demultiplexing tags, so a hit skips both matching and re-serialization.

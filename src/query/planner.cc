@@ -7,6 +7,7 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <utility>
 
 namespace gridvine {
 
@@ -25,41 +26,6 @@ PatternCost ClassifyPattern(const TriplePattern& pattern) {
 }
 
 namespace {
-
-/// Orders one join-connected component's patterns: cheapest first, then
-/// repeatedly the cheapest pattern sharing a variable with the prefix.
-/// Within a connected component some remaining pattern is always adjacent
-/// to the prefix, and connected (rank <= 4) beats unconnected (rank >= 10),
-/// so the chain never breaks connectivity. Ties go to the lowest original
-/// index, keeping plans byte-identical across runs and platforms.
-std::vector<size_t> OrderComponent(const std::vector<TriplePattern>& patterns,
-                                   std::vector<size_t> remaining) {
-  std::vector<size_t> order;
-  std::set<std::string> bound_vars;
-  while (!remaining.empty()) {
-    size_t best_slot = 0;
-    int best_rank = INT_MAX;
-    for (size_t slot = 0; slot < remaining.size(); ++slot) {
-      const TriplePattern& p = patterns[remaining[slot]];
-      bool connected = order.empty();
-      for (const auto& var : p.Variables()) {
-        if (bound_vars.count(var)) connected = true;
-      }
-      int rank = int(ClassifyPattern(p)) + (connected ? 0 : 10);
-      if (rank < best_rank) {
-        best_rank = rank;
-        best_slot = slot;
-      }
-    }
-    size_t chosen = remaining[best_slot];
-    remaining.erase(remaining.begin() + ptrdiff_t(best_slot));
-    order.push_back(chosen);
-    for (const auto& var : patterns[chosen].Variables()) {
-      bound_vars.insert(var);
-    }
-  }
-  return order;
-}
 
 /// The estimate for pattern `i`, or nullptr when absent/unknown.
 const PatternEstimate* EstOf(const PlanOptions& options, size_t i) {
@@ -91,13 +57,15 @@ struct CostChain {
   std::vector<double> est_cards;
 };
 
-/// Cost-based chain ordering, shared by PlanPhysical (have_prefix = false:
-/// the chain starts with a RemoteScan lead) and PlanGroupSuffix
+/// The planner's one chain ordering, shared by PlanPhysical (have_prefix =
+/// false: the chain starts with a RemoteScan lead) and PlanGroupSuffix
 /// (have_prefix = true: every appended pattern extends an existing binding
 /// set). At each step the connected candidate with the smallest estimated
 /// resulting cardinality wins; candidates without an estimate rank after
-/// estimated ones by the greedy (PatternCost, index) key, so a stats
-/// blackout degrades to exactly the greedy choice among them.
+/// estimated ones by the greedy (PatternCost, index) key, so without
+/// estimates the chain is the greedy order: cheapest first, then the
+/// cheapest pattern sharing a variable with the prefix, ties to the lowest
+/// index.
 CostChain OrderComponentCost(const std::vector<TriplePattern>& patterns,
                              std::vector<size_t> remaining,
                              std::set<std::string> bound_vars,
@@ -235,65 +203,33 @@ PhysicalPlan PlanPhysical(const ConjunctiveQuery& query,
   std::map<size_t, std::vector<size_t>> components;  // root -> members
   for (size_t i = 0; i < n; ++i) components[find(i)].push_back(i);
 
-  struct Ranked {
-    std::vector<size_t> order;
-    /// Non-empty only on the cost-based path: the chain's operator steps
-    /// and running cardinality estimates, computed alongside the order.
-    std::vector<PlanStep> steps;
-    std::vector<double> est_cards;
-    int lead_cost;
-    size_t lead_index;
-  };
-  const bool cost_based = !options.estimates.empty();
-  std::vector<Ranked> ranked;
+  PhysicalPlan plan;
   for (auto& [root, members] : components) {
-    Ranked r;
-    const bool constant_only =
-        members.size() == 1 && patterns[members[0]].Variables().empty();
-    if (cost_based && !constant_only) {
+    PlanGroup g;
+    if (members.size() == 1 && patterns[members[0]].Variables().empty()) {
+      g.patterns = std::move(members);
+      g.steps.push_back({OpKind::kExistenceCheck, g.patterns[0]});
+    } else {
       CostChain chain = OrderComponentCost(patterns, std::move(members), {},
                                            0, /*have_prefix=*/false, options);
-      r.order = std::move(chain.order);
-      r.steps = std::move(chain.steps);
-      r.est_cards = std::move(chain.est_cards);
-    } else {
-      r.order = OrderComponent(patterns, std::move(members));
-    }
-    r.lead_cost = int(ClassifyPattern(patterns[r.order[0]]));
-    r.lead_index = r.order[0];
-    ranked.push_back(std::move(r));
-  }
-  // Groups run cheapest-lead first — the order the serial planner would
-  // reach them in, so Order() matches the legacy contract.
-  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
-    if (a.lead_cost != b.lead_cost) return a.lead_cost < b.lead_cost;
-    return a.lead_index < b.lead_index;
-  });
-
-  PhysicalPlan plan;
-  for (Ranked& r : ranked) {
-    PlanGroup g;
-    g.patterns = std::move(r.order);
-    g.est_cards = std::move(r.est_cards);
-    const size_t lead = g.patterns[0];
-    if (g.patterns.size() == 1 && patterns[lead].Variables().empty()) {
-      g.steps.push_back({OpKind::kExistenceCheck, lead});
-    } else if (!r.steps.empty()) {
-      g.steps = std::move(r.steps);
-    } else {
-      g.steps.push_back({OpKind::kRemoteScan, lead});
-      g.steps.push_back({OpKind::kLocalJoin});
-      for (size_t k = 1; k < g.patterns.size(); ++k) {
-        if (options.bind_join) {
-          g.steps.push_back({OpKind::kBindJoin, g.patterns[k]});
-        } else {
-          g.steps.push_back({OpKind::kRemoteScan, g.patterns[k]});
-          g.steps.push_back({OpKind::kLocalJoin});
-        }
-      }
+      g.patterns = std::move(chain.order);
+      g.steps = std::move(chain.steps);
+      // Without estimates there is nothing for the adaptive executor to
+      // compare observations against.
+      if (!options.estimates.empty()) g.est_cards = std::move(chain.est_cards);
     }
     plan.groups.push_back(std::move(g));
   }
+  // Groups run cheapest-lead first — the order the serial planner would
+  // reach them in, so Order() matches the legacy contract.
+  auto lead_key = [&patterns](const PlanGroup& g) {
+    return std::pair(int(ClassifyPattern(patterns[g.patterns[0]])),
+                     g.patterns[0]);
+  };
+  std::sort(plan.groups.begin(), plan.groups.end(),
+            [&](const PlanGroup& a, const PlanGroup& b) {
+              return lead_key(a) < lead_key(b);
+            });
   for (size_t gi = 1; gi < plan.groups.size(); ++gi) {
     plan.tail.push_back({OpKind::kLocalJoin});
   }

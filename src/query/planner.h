@@ -30,15 +30,16 @@ struct PlanOptions {
   /// When true (default), each pattern after a group's first is resolved by
   /// pushing the running bindings toward the data (kBindJoin); when false,
   /// every pattern is fetched in full and joined at the issuer
-  /// (kRemoteScan + kLocalJoin — the collect-then-join baseline).
+  /// (kRemoteScan + kLocalJoin — the collect-then-join baseline), except an
+  /// unroutable pattern, which a full fetch cannot resolve: it always binds.
   bool bind_join = true;
-  /// Per-pattern cardinality estimates, parallel to query.patterns(). Empty
-  /// (the default) selects the legacy greedy planner — plans byte-identical
-  /// to before statistics existed. Non-empty switches group ordering to the
-  /// cost model: patterns are chained by estimated running join cardinality
-  /// and each post-lead edge picks bind-join vs collect from estimated
-  /// probe/extent row counts. Patterns whose estimate is !known fall back to
-  /// the greedy (PatternCost, index) rank within the cost ordering.
+  /// Per-pattern cardinality estimates, parallel to query.patterns().
+  /// Patterns are chained by estimated running join cardinality and each
+  /// post-lead edge picks bind-join vs collect from estimated probe/extent
+  /// row counts. Patterns whose estimate is absent or !known rank by the
+  /// greedy (PatternCost, index) key, so empty (the default) gives the
+  /// greedy order with `bind_join` deciding the edges, and leaves every
+  /// group's est_cards empty.
   std::vector<PatternEstimate> estimates;
 };
 

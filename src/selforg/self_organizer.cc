@@ -13,6 +13,11 @@ namespace {
 /// measure and the shared-reference count (queries the live network).
 constexpr size_t kValueSampleLimit = 64;
 
+/// Vector size for the matcher's precomputed-embedding channel (built
+/// locally from sampled values; only used while matcher.embedding_weight
+/// > 0).
+constexpr int kEmbeddingDim = 64;
+
 }  // namespace
 
 SelfOrganizer::SelfOrganizer(GridVineNetwork* net, Options options)
@@ -184,14 +189,14 @@ Result<SchemaMapping> SelfOrganizer::CreateMapping(const std::string& source,
       src_emb[attr] = EmbedAttribute(
           Schema::LocalOfUri(attr),
           vit != src_values.end() ? vit->second : std::set<std::string>{},
-          options_.embedding_dim);
+          kEmbeddingDim);
     }
     for (const auto& attr : dst->AttributeUris()) {
       auto vit = dst_values.find(attr);
       dst_emb[attr] = EmbedAttribute(
           Schema::LocalOfUri(attr),
           vit != dst_values.end() ? vit->second : std::set<std::string>{},
-          options_.embedding_dim);
+          kEmbeddingDim);
     }
     matcher.SetEmbeddings(&src_emb, &dst_emb);
   }

@@ -45,10 +45,6 @@ class SelfOrganizer {
     int creations_per_round = 2;
     /// Seeds the candidate-pair tie-break shuffle.
     uint64_t seed = 42;
-    /// Vector size for the matcher's precomputed-embedding channel (built
-    /// locally from sampled values; only used while
-    /// matcher.embedding_weight > 0).
-    int embedding_dim = 64;
   };
 
   /// Posterior below which an automatic mapping is deprecated.

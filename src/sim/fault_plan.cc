@@ -17,40 +17,6 @@ void FaultPlan::AddPartition(const Partition& partition) {
   partitions_.push_back(std::move(spec));
 }
 
-namespace {
-
-/// Shared implementations, generic over the two Rng flavours (the seeded
-/// mt19937 Rng of the single-threaded network, the per-node SmallRng streams
-/// of the sharded one). Both expose Bernoulli/Exponential.
-template <typename AnyRng>
-bool ShouldDropImpl(const std::vector<FaultPlan::LossBurst>& bursts,
-                    SimTime now, AnyRng* rng, DropCause* cause) {
-  for (const auto& b : bursts) {
-    if (now < b.start || now >= b.end || b.probability <= 0) continue;
-    if (rng->Bernoulli(b.probability)) {
-      *cause = DropCause::kBurstLoss;
-      return true;
-    }
-  }
-  return false;
-}
-
-template <typename AnyRng>
-SimTime ExtraLatencyImpl(const std::vector<FaultPlan::LatencySpike>& spikes,
-                         SimTime now, AnyRng* rng) {
-  SimTime extra = 0;
-  for (const auto& s : spikes) {
-    if (now < s.start || now >= s.end) continue;
-    extra += s.extra;
-    if (s.extra_mean_tail > 0) {
-      extra += rng->Exponential(1.0 / s.extra_mean_tail);
-    }
-  }
-  return extra;
-}
-
-}  // namespace
-
 bool FaultPlan::PartitionDrop(SimTime now, NodeId from, NodeId to,
                               DropCause* cause) const {
   for (const PartitionSpec& p : partitions_) {
@@ -63,34 +29,6 @@ bool FaultPlan::PartitionDrop(SimTime now, NodeId from, NodeId to,
     }
   }
   return false;
-}
-
-bool FaultPlan::ShouldDrop(SimTime now, NodeId from, NodeId to, Rng* rng,
-                           DropCause* cause) const {
-  if (PartitionDrop(now, from, to, cause)) return true;
-  return ShouldDropImpl(bursts_, now, rng, cause);
-}
-
-bool FaultPlan::ShouldDrop(SimTime now, NodeId from, NodeId to, SmallRng* rng,
-                           DropCause* cause) const {
-  if (PartitionDrop(now, from, to, cause)) return true;
-  return ShouldDropImpl(bursts_, now, rng, cause);
-}
-
-bool FaultPlan::ShouldDuplicate(Rng* rng) const {
-  return duplicate_probability_ > 0 && rng->Bernoulli(duplicate_probability_);
-}
-
-bool FaultPlan::ShouldDuplicate(SmallRng* rng) const {
-  return duplicate_probability_ > 0 && rng->Bernoulli(duplicate_probability_);
-}
-
-SimTime FaultPlan::ExtraLatency(SimTime now, Rng* rng) const {
-  return ExtraLatencyImpl(spikes_, now, rng);
-}
-
-SimTime FaultPlan::ExtraLatency(SimTime now, SmallRng* rng) const {
-  return ExtraLatencyImpl(spikes_, now, rng);
 }
 
 }  // namespace gridvine

@@ -2,6 +2,7 @@
 #define GRIDVINE_SIM_FAULT_PLAN_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,13 +22,25 @@ enum class DropCause : uint8_t {
   kPartition,  ///< a FaultPlan partition separated the endpoints
 };
 
+/// The cause as a flight span's "drop" annotation.
+constexpr std::string_view DropCauseName(DropCause cause) {
+  switch (cause) {
+    case DropCause::kEndpoint: return "endpoint";
+    case DropCause::kLoss: return "loss";
+    case DropCause::kBurstLoss: return "burst";
+    case DropCause::kPartition: return "partition";
+  }
+  return "?";
+}
+
 /// Deterministic fault injection layered on top of Network's base loss and
 /// node liveness. A plan is a set of *timed windows* — loss bursts,
 /// bidirectional partitions, latency spikes — plus a whole-run duplication
-/// probability. All randomness is drawn from the Network's own seeded Rng in
-/// a fixed consultation order, so a faulted run replays bit-identically from
-/// its seed; the windows themselves are plain data and can be generated from
-/// a seed too (see tests/fault_harness.h).
+/// probability. All randomness is drawn from the transport's stream (the
+/// Network's seeded Rng, or the acting node's SmallRng on the sharded engine)
+/// in a fixed consultation order, so a faulted run replays bit-identically
+/// from its seed; the windows themselves are plain data and can be generated
+/// from a seed too (see tests/fault_harness.h).
 ///
 /// Hot-path contract: consultation performs no heap allocation and, when no
 /// window covers `now` and no duplication is configured, draws nothing from
@@ -77,23 +90,45 @@ class FaultPlan {
   /// covering window, in insertion order). Returns true and sets `*cause`
   /// if the plan drops the message.
   ///
-  /// The SmallRng overloads serve the sharded engine, which consults one
-  /// shared plan from every shard with per-node random streams; the plan's
-  /// own state is read-only after setup, so concurrent consultation is safe.
-  bool ShouldDrop(SimTime now, NodeId from, NodeId to, Rng* rng,
-                  DropCause* cause) const;
-  bool ShouldDrop(SimTime now, NodeId from, NodeId to, SmallRng* rng,
-                  DropCause* cause) const;
+  /// Every consultation is generic over the stream: the single-threaded
+  /// network passes its seeded Rng, the sharded engine the acting node's
+  /// SmallRng. The plan's own state is read-only after setup, so the sharded
+  /// engine's concurrent consultation from every shard is safe.
+  template <typename AnyRng>
+  bool ShouldDrop(SimTime now, NodeId from, NodeId to, AnyRng* rng,
+                  DropCause* cause) const {
+    if (PartitionDrop(now, from, to, cause)) return true;
+    for (const LossBurst& b : bursts_) {
+      if (now < b.start || now >= b.end || b.probability <= 0) continue;
+      if (rng->Bernoulli(b.probability)) {
+        *cause = DropCause::kBurstLoss;
+        return true;
+      }
+    }
+    return false;
+  }
 
   /// One duplication decision (only calls the Rng when the probability is
   /// non-zero).
-  bool ShouldDuplicate(Rng* rng) const;
-  bool ShouldDuplicate(SmallRng* rng) const;
+  template <typename AnyRng>
+  bool ShouldDuplicate(AnyRng* rng) const {
+    return duplicate_probability_ > 0 && rng->Bernoulli(duplicate_probability_);
+  }
 
   /// Extra latency at `now` (0 outside every spike window). Draws from the
   /// Rng only for spikes with a configured tail.
-  SimTime ExtraLatency(SimTime now, Rng* rng) const;
-  SimTime ExtraLatency(SimTime now, SmallRng* rng) const;
+  template <typename AnyRng>
+  SimTime ExtraLatency(SimTime now, AnyRng* rng) const {
+    SimTime extra = 0;
+    for (const LatencySpike& s : spikes_) {
+      if (now < s.start || now >= s.end) continue;
+      extra += s.extra;
+      if (s.extra_mean_tail > 0) {
+        extra += rng->Exponential(1.0 / s.extra_mean_tail);
+      }
+    }
+    return extra;
+  }
 
   size_t loss_bursts() const { return bursts_.size(); }
   size_t partitions() const { return partitions_.size(); }

@@ -7,20 +7,6 @@
 
 namespace gridvine {
 
-namespace {
-
-std::string_view DropCauseName(DropCause cause) {
-  switch (cause) {
-    case DropCause::kEndpoint: return "endpoint";
-    case DropCause::kLoss: return "loss";
-    case DropCause::kBurstLoss: return "burst";
-    case DropCause::kPartition: return "partition";
-  }
-  return "?";
-}
-
-}  // namespace
-
 uint64_t NetworkStats::MessagesForType(std::string_view name) const {
   MsgType t = MsgType::Find(name);
   if (t.unknown() || t.id() >= messages_by_type.size()) return 0;
@@ -69,6 +55,8 @@ bool Network::IsAlive(NodeId id) const {
 }
 
 void Network::CountSend(MsgType type, size_t bytes) {
+  ++stats_.messages_sent;
+  stats_.bytes_sent += bytes;
   // Grow to the full registry size in one step so a burst of new types costs
   // at most one reallocation, and established types never reallocate. The
   // drop vector is sized here too (not on first drop) so drop attribution
@@ -100,109 +88,37 @@ void Network::CountDrop(MsgType type, DropCause cause) {
   ++stats_.drops_by_type[type.id()];
 }
 
-void Network::EndDropped(TraceCtx flight, DropCause cause) {
-  if (!flight.valid()) return;
-  tracer_->Annotate(flight, "drop", DropCauseName(cause));
-  tracer_->EndSpan(flight);
+void Network::CloseFlight(TraceCtx flight, SimTime at,
+                          std::optional<DropCause> cause) {
+  if (cause) tracer_->Annotate(flight, "drop", DropCauseName(*cause));
+  tracer_->EndSpanAt(flight, at);
 }
 
 void Network::Send(NodeId from, NodeId to,
                    std::shared_ptr<const MessageBody> body) {
-  const size_t bytes = body->SizeBytes();
-  const MsgType type = body->TypeTag();
-  ++stats_.messages_sent;
-  stats_.bytes_sent += bytes;
-  CountSend(type, bytes);
-
-  // Flight span: parented on the sender's explicit ctx if set, else on the
-  // delivery being handled (ambient). No parent — background traffic nobody
-  // is tracing — records nothing, and with no tracer at all this whole block
-  // is one pointer test (the zero-allocation default).
-  TraceCtx flight{};
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    const TraceCtx parent =
-        body->trace_ctx.valid() ? body->trace_ctx : delivery_ctx_;
-    if (parent.valid()) {
-      flight = tracer_->StartSpan(type.name(), parent);
-      tracer_->Annotate(flight, "from", double(from));
-      tracer_->Annotate(flight, "to", double(to));
-      tracer_->Annotate(flight, "bytes", double(bytes));
-    }
-  }
-
-  if (!IsAlive(from) || to >= nodes_.size() || !nodes_[to].alive) {
-    CountDrop(type, DropCause::kEndpoint);
-    EndDropped(flight, DropCause::kEndpoint);
-    return;
-  }
-  if (loss_probability_ > 0 && rng_.Bernoulli(loss_probability_)) {
-    CountDrop(type, DropCause::kLoss);
-    EndDropped(flight, DropCause::kLoss);
-    return;
-  }
-  // Fault plan last, in a fixed order (partitions, then bursts, then
-  // duplication), so a given seed consumes Rng draws identically run to run.
-  if (fault_plan_) {
-    DropCause cause;
-    if (fault_plan_->ShouldDrop(sim_->Now(), from, to, &rng_, &cause)) {
-      CountDrop(type, cause);
-      EndDropped(flight, cause);
-      return;
-    }
-    if (fault_plan_->ShouldDuplicate(&rng_)) {
-      ++stats_.messages_duplicated;
-      // The extra copy gets its own flight span, a child of the original's
-      // (the duplicate exists because that send happened), so duplicated
-      // deliveries stay attributable without double-counting the original.
-      TraceCtx dup{};
-      if (flight.valid()) {
-        dup = tracer_->StartSpan(type.name(),
-                                 TraceCtx{flight.trace_id, flight.span_id});
-        tracer_->Annotate(dup, "duplicate", 1.0);
-      }
-      SimTime dup_delay = latency_->Sample(&rng_) +
-                          fault_plan_->ExtraLatency(sim_->Now(), &rng_);
-      if (dup.valid()) {
-        sim_->Schedule(dup_delay, TracedDelivery{this, from, to, body, dup});
-      } else {
-        sim_->Schedule(dup_delay, Delivery{this, from, to, body});
-      }
-    }
-  }
-
-  SimTime delay = latency_->Sample(&rng_);
-  if (fault_plan_) delay += fault_plan_->ExtraLatency(sim_->Now(), &rng_);
-  if (flight.valid()) {
-    sim_->Schedule(delay,
-                   TracedDelivery{this, from, to, std::move(body), flight});
-  } else {
-    sim_->Schedule(delay, Delivery{this, from, to, std::move(body)});
-  }
+  const bool alive = IsAlive(from) && to < nodes_.size() && nodes_[to].alive;
+  Transmit(from, to, std::move(body), alive, sim_->Now(), &rng_,
+           latency_.get(), loss_probability_, fault_plan_.get(),
+           [this, from, to](SimTime at, std::shared_ptr<const MessageBody> copy,
+                            TraceCtx flight) {
+             if (flight.valid()) {
+               sim_->ScheduleAt(
+                   at, TracedDelivery{this, from, to, std::move(copy), flight});
+             } else {
+               sim_->ScheduleAt(at, Delivery{this, from, to, std::move(copy)});
+             }
+           });
 }
 
 void Network::Deliver(NodeId from, NodeId to,
                       std::shared_ptr<const MessageBody> body, TraceCtx ctx) {
   // Liveness re-checked at delivery time: the node may have died in flight.
-  if (to < nodes_.size() && nodes_[to].alive) {
-    ++stats_.messages_delivered;
-    if (ctx.valid() && tracer_ != nullptr) {
-      tracer_->EndSpan(ctx);
-      // Expose this delivery's flight ctx while the handler runs, so
-      // anything it sends (forwards, replies) parents under this hop
-      // without plumbing. Untraced deliveries skip the save/restore: the
-      // event loop never nests deliveries, so delivery_ctx_ is already
-      // invalid here and the stores would be dead.
-      const TraceCtx prev = delivery_ctx_;
-      delivery_ctx_ = ctx;
-      nodes_[to].node->OnMessage(from, std::move(body));
-      delivery_ctx_ = prev;
-    } else {
-      nodes_[to].node->OnMessage(from, std::move(body));
-    }
-  } else {
-    CountDrop(body->TypeTag(), DropCause::kEndpoint);
-    if (ctx.valid() && tracer_ != nullptr) EndDropped(ctx, DropCause::kEndpoint);
-  }
+  NetworkNode* node =
+      to < nodes_.size() && nodes_[to].alive ? nodes_[to].node : nullptr;
+  Receive(from, node, std::move(body), ctx,
+          [this](TraceCtx flight, std::optional<DropCause> cause) {
+            CloseFlight(flight, sim_->Now(), cause);
+          });
 }
 
 void NetworkStats::Publish(MetricsRegistry* metrics) const {

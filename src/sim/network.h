@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -115,6 +116,9 @@ struct NetworkStats {
 /// hold a Network* and work unchanged whether it is this single-threaded
 /// transport or a shard lane of the parallel engine (sim/sharded.h). The
 /// indirect call per send is noise next to the delivery record scheduling.
+/// Both engines run the one send policy (Transmit) and the one delivery
+/// policy (Receive) below; each supplies only its random stream, how one
+/// in-flight copy is scheduled and how a flight span ends.
 ///
 /// Hot-path note: Send() schedules a plain-struct delivery record (not a
 /// capturing lambda) that fits EventFn's inline buffer, and type accounting
@@ -182,19 +186,35 @@ class Network {
   void PublishMetrics(MetricsRegistry* metrics) const;
 
  protected:
-  /// Shared with shard-lane subclasses: per-lane traffic accounting. Counter
-  /// bumps must stay single-threaded per instance (each lane is owned by one
-  /// shard worker).
-  void CountSend(MsgType type, size_t bytes);
-  void CountDrop(MsgType type, DropCause cause);
-  NetworkStats stats_;
-  /// Protected (not private) so shard lanes carry their shard's tracer and
-  /// the sharded engine can publish the ambient flight ctx around OnMessage
-  /// exactly like Deliver() below does. Same single-writer rule as stats_:
-  /// one worker thread per lane.
-  Tracer* tracer_ = nullptr;
-  /// Flight ctx of the delivery whose OnMessage is on the stack right now.
-  TraceCtx delivery_ctx_{};
+  /// The send policy both engines run, in a fixed order: offered-load
+  /// accounting; the flight span, parented on the body's explicit ctx or
+  /// else on the delivery being handled; the endpoint check, base loss and
+  /// the fault plan's partition, burst and duplicate (whose span is a child
+  /// of the original's); then each copy's latency draw followed by its spike
+  /// draw, the duplicate's first. `emit(at, body, flight)` schedules one
+  /// in-flight copy for absolute time `at`, so the duplicate is also
+  /// scheduled first. Every draw comes from `rng`: this network's Rng, or
+  /// the acting node's SmallRng on a shard lane.
+  template <typename AnyRng, typename Emit>
+  void Transmit(NodeId from, NodeId to, std::shared_ptr<const MessageBody> body,
+                bool endpoints_alive, SimTime now, AnyRng* rng,
+                LatencyModel* latency, double loss, const FaultPlan* plan,
+                Emit&& emit);
+
+  /// The delivery policy both engines run. `node` is the destination, or
+  /// null when it died in flight (an endpoint drop). Counts the delivery or
+  /// the drop, ends a traced flight through `end_flight(flight, cause)`
+  /// (cause empty on delivery) and runs the handler with the flight as the
+  /// ambient ctx, so anything it sends parents under this hop.
+  template <typename EndFlight>
+  void Receive(NodeId from, NetworkNode* node,
+               std::shared_ptr<const MessageBody> body, TraceCtx flight,
+               EndFlight&& end_flight);
+
+  /// Annotates `flight` with its drop cause (if any) and ends it at `at` on
+  /// this network's tracer.
+  void CloseFlight(TraceCtx flight, SimTime at,
+                   std::optional<DropCause> cause);
 
  private:
   struct NodeSlot {
@@ -202,11 +222,9 @@ class Network {
     bool alive = true;
   };
 
-  /// The scheduled half of Send(): a 48-byte record (32 + the flight-span
-  /// TraceCtx), still exactly EventFn's inline buffer — growing this spills
-  /// every delivery to the heap. shared_ptr is not trivially copyable but
-  /// holds no self-references, so the record is safe to relocate bytewise
-  /// (EventFn's memcpy fast path).
+  /// The scheduled half of Send(): a 32-byte record, inline in EventFn.
+  /// shared_ptr is not trivially copyable but holds no self-references, so
+  /// the record is safe to relocate bytewise (EventFn's memcpy fast path).
   struct Delivery {
     static constexpr bool kTriviallyRelocatable = true;
     Network* net;
@@ -216,9 +234,10 @@ class Network {
     void operator()() { net->Deliver(from, to, std::move(body), TraceCtx{}); }
   };
 
-  /// Delivery with its flight span aboard — scheduled only for traced sends,
-  /// so the untraced hot path keeps the smaller record (16 fewer bytes
-  /// copied into the event queue per message).
+  /// Delivery with its flight span aboard (48 bytes, exactly EventFn's
+  /// inline buffer — growing it spills every traced delivery to the heap).
+  /// Scheduled only for traced sends, so the untraced hot path keeps the
+  /// smaller record (16 fewer bytes copied into the event queue per message).
   struct TracedDelivery {
     static constexpr bool kTriviallyRelocatable = true;
     Network* net;
@@ -231,9 +250,16 @@ class Network {
 
   void Deliver(NodeId from, NodeId to, std::shared_ptr<const MessageBody> body,
                TraceCtx ctx);
-  /// Annotates a flight span with its drop cause and ends it.
-  void EndDropped(TraceCtx flight, DropCause cause);
+  /// Offered-load accounting (messages_sent, bytes_sent, per-type counters).
+  /// Counter bumps stay single-threaded per instance: each shard lane is
+  /// owned by one shard worker.
+  void CountSend(MsgType type, size_t bytes);
+  void CountDrop(MsgType type, DropCause cause);
 
+  NetworkStats stats_;
+  Tracer* tracer_ = nullptr;
+  /// Flight ctx of the delivery whose OnMessage is on the stack right now.
+  TraceCtx delivery_ctx_{};
   Simulator* sim_;
   std::unique_ptr<LatencyModel> latency_;
   Rng rng_;
@@ -241,6 +267,87 @@ class Network {
   std::unique_ptr<FaultPlan> fault_plan_;
   std::vector<NodeSlot> nodes_;
 };
+
+template <typename AnyRng, typename Emit>
+void Network::Transmit(NodeId from, NodeId to,
+                       std::shared_ptr<const MessageBody> body,
+                       bool endpoints_alive, SimTime now, AnyRng* rng,
+                       LatencyModel* latency, double loss,
+                       const FaultPlan* plan, Emit&& emit) {
+  const size_t bytes = body->SizeBytes();
+  const MsgType type = body->TypeTag();
+  CountSend(type, bytes);
+
+  // Flight span. No parent — background traffic nobody is tracing — records
+  // nothing, and with no tracer at all this whole block is one pointer test
+  // (the zero-allocation default). Opening a span draws no random number
+  // and touches no event counter, so traced runs stay bit-identical.
+  TraceCtx flight{};
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    const TraceCtx parent =
+        body->trace_ctx.valid() ? body->trace_ctx : delivery_ctx_;
+    if (parent.valid()) {
+      flight = tracer_->StartSpan(type.name(), parent);
+      tracer_->Annotate(flight, "from", double(from));
+      tracer_->Annotate(flight, "to", double(to));
+      tracer_->Annotate(flight, "bytes", double(bytes));
+    }
+  }
+  auto drop = [&](DropCause cause) {
+    CountDrop(type, cause);
+    if (flight.valid()) CloseFlight(flight, now, cause);
+  };
+  // Latency, then spike: two statements, so the draw order is fixed.
+  auto delay = [&] {
+    SimTime d = latency->Sample(rng);
+    if (plan != nullptr) d += plan->ExtraLatency(now, rng);
+    return d;
+  };
+
+  if (!endpoints_alive) return drop(DropCause::kEndpoint);
+  if (loss > 0 && rng->Bernoulli(loss)) return drop(DropCause::kLoss);
+  if (plan != nullptr) {
+    DropCause cause;
+    if (plan->ShouldDrop(now, from, to, rng, &cause)) return drop(cause);
+    if (plan->ShouldDuplicate(rng)) {
+      ++stats_.messages_duplicated;
+      // The extra copy gets its own flight span, a child of the original's
+      // (the duplicate exists because that send happened), so duplicated
+      // deliveries stay attributable without double-counting the original.
+      TraceCtx dup{};
+      if (flight.valid()) {
+        dup = tracer_->StartSpan(type.name(), flight);
+        tracer_->Annotate(dup, "duplicate", 1.0);
+      }
+      emit(now + delay(), body, dup);
+    }
+  }
+  emit(now + delay(), std::move(body), flight);
+}
+
+template <typename EndFlight>
+void Network::Receive(NodeId from, NetworkNode* node,
+                      std::shared_ptr<const MessageBody> body, TraceCtx flight,
+                      EndFlight&& end_flight) {
+  const bool traced = flight.valid() && tracer_ != nullptr;
+  if (node == nullptr) {
+    CountDrop(body->TypeTag(), DropCause::kEndpoint);
+    if (traced) end_flight(flight, DropCause::kEndpoint);
+    return;
+  }
+  ++stats_.messages_delivered;
+  if (!traced) {
+    // No save/restore: the event loop never nests deliveries, so
+    // delivery_ctx_ is already invalid here and the stores would be dead.
+    node->OnMessage(from, std::move(body));
+    return;
+  }
+  end_flight(flight, std::nullopt);
+  const TraceCtx prev = delivery_ctx_;
+  delivery_ctx_ = flight;
+  node->OnMessage(from, std::move(body));
+  delivery_ctx_ = prev;
+}
 
 }  // namespace gridvine
 

@@ -12,16 +12,6 @@ namespace gridvine {
 
 namespace {
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
-
-std::string_view ShardDropCauseName(DropCause cause) {
-  switch (cause) {
-    case DropCause::kEndpoint: return "endpoint";
-    case DropCause::kLoss: return "loss";
-    case DropCause::kBurstLoss: return "burst";
-    case DropCause::kPartition: return "partition";
-  }
-  return "?";
-}
 }  // namespace
 
 void ShardSimulator::ScheduleAt(SimTime t, EventFn fn) {
@@ -30,9 +20,10 @@ void ShardSimulator::ScheduleAt(SimTime t, EventFn fn) {
 
 /// The Network facade one shard's peers talk to. Every operation delegates
 /// to the engine; the base-class transport state (latency, rng, node slots)
-/// is unused — only the inherited per-lane NetworkStats and the interface
-/// matter. One lane is touched by exactly one worker thread during epochs:
-/// sends by actors the shard owns, deliveries to nodes the shard owns.
+/// is unused — the lane contributes the shared send and delivery policies,
+/// its per-lane NetworkStats, its shard's tracer and the interface. One lane
+/// is touched by exactly one worker thread during epochs: sends by actors
+/// the shard owns, deliveries to nodes the shard owns.
 class ShardedNetwork::ShardLane : public Network {
  public:
   NodeId AddNode(NetworkNode* node) override { return engine_->AddNode(node); }
@@ -194,161 +185,71 @@ void ShardedNetwork::RunAsNode(NodeId id, const std::function<void()>& fn) {
 void ShardedNetwork::DoSend(uint32_t shard, ShardLane* lane, NodeId from,
                             NodeId to,
                             std::shared_ptr<const MessageBody> body) {
-  const size_t bytes = body->SizeBytes();
-  const MsgType type = body->TypeTag();
-  ++lane->stats_.messages_sent;
-  lane->stats_.bytes_sent += bytes;
-  lane->CountSend(type, bytes);
-
-  // Flight span on the sender shard's ring, mirroring Network::Send: the
-  // explicit body ctx wins over the ambient delivery being handled. Opening
-  // a span draws no Rng and touches no event counters, so the traced run
-  // stays bit-identical to the untraced one.
-  Tracer* tracer = lane->tracer_;
-  TraceCtx flight{};
-  if (tracer != nullptr && tracer->enabled()) {
-    const TraceCtx parent =
-        body->trace_ctx.valid() ? body->trace_ctx : lane->delivery_ctx_;
-    if (parent.valid()) {
-      flight = tracer->StartSpan(type.name(), parent);
-      tracer->Annotate(flight, "from", double(from));
-      tracer->Annotate(flight, "to", double(to));
-      tracer->Annotate(flight, "bytes", double(bytes));
-    }
-  }
-  auto end_dropped = [&](DropCause cause) {
-    if (!flight.valid()) return;
-    tracer->Annotate(flight, "drop", ShardDropCauseName(cause));
-    tracer->EndSpan(flight);
-  };
-
-  if (!IsAlive(from) || !IsAlive(to)) {
-    lane->CountDrop(type, DropCause::kEndpoint);
-    end_dropped(DropCause::kEndpoint);
-    return;
-  }
-
   ShardSimulator* sim = sims_[shard].get();
   const uint32_t actor = sim->current_actor();
-  SmallRng* rng = RngFor(actor);
-  const SimTime now = sim->Now();
-
-  if (loss_probability_ > 0 && rng->Bernoulli(loss_probability_)) {
-    lane->CountDrop(type, DropCause::kLoss);
-    end_dropped(DropCause::kLoss);
-    return;
-  }
-  // Same fixed consultation order as the single-threaded Network
-  // (partitions, bursts, duplication) so a seed consumes the actor's stream
-  // identically run to run.
-  if (fault_plan_) {
-    DropCause cause;
-    if (fault_plan_->ShouldDrop(now, from, to, rng, &cause)) {
-      lane->CountDrop(type, cause);
-      end_dropped(cause);
-      return;
-    }
-    if (fault_plan_->ShouldDuplicate(rng)) {
-      ++lane->stats_.messages_duplicated;
-      // The extra copy gets its own flight span under the original's, same
-      // as the single-threaded transport.
-      TraceCtx dup{};
-      if (flight.valid()) {
-        dup = tracer->StartSpan(type.name(),
-                                TraceCtx{flight.trace_id, flight.span_id});
-        tracer->Annotate(dup, "duplicate", 1.0);
-      }
-      SimTime dup_delay =
-          latency_->Sample(rng) + fault_plan_->ExtraLatency(now, rng);
-      Dispatch(shard, from, to, now + dup_delay, NextSubkey(actor), body, dup);
-    }
-  }
-
-  SimTime delay = latency_->Sample(rng);
-  if (fault_plan_) delay += fault_plan_->ExtraLatency(now, rng);
-  Dispatch(shard, from, to, now + delay, NextSubkey(actor), std::move(body),
-           flight);
+  lane->Transmit(from, to, std::move(body), IsAlive(from) && IsAlive(to),
+                 sim->Now(), RngFor(actor), latency_.get(), loss_probability_,
+                 fault_plan_.get(),
+                 [&](SimTime at, std::shared_ptr<const MessageBody> copy,
+                     TraceCtx flight) {
+                   Dispatch(shard, PendingDelivery{at, NextSubkey(actor), from,
+                                                   to, std::move(copy),
+                                                   flight});
+                 });
 }
 
-void ShardedNetwork::Dispatch(uint32_t src_shard, NodeId from, NodeId to,
-                              SimTime at, uint64_t subkey,
-                              std::shared_ptr<const MessageBody> body,
-                              TraceCtx ctx) {
-  const uint32_t dst = OwnerShard(to);
+void ShardedNetwork::Dispatch(uint32_t src_shard, PendingDelivery p) {
+  const uint32_t dst = OwnerShard(p.to);
   if (dst == src_shard) {
-    if (ctx.valid()) {
-      sims_[dst]->ScheduleKeyedAt(
-          at, subkey, TracedShardDelivery{this, from, to, std::move(body), ctx});
-    } else {
-      sims_[dst]->ScheduleKeyedAt(
-          at, subkey, ShardDelivery{this, from, to, std::move(body)});
-    }
+    Enqueue(sims_[dst].get(), std::move(p));
   } else {
     // Conservative guarantee: at >= send time + MinDelay >= epoch horizon,
     // so folding this in at the next barrier can never schedule into the
     // destination's past.
-    outbox_[size_t(src_shard) * shards_ + dst].push_back(
-        PendingDelivery{at, subkey, from, to, std::move(body), ctx});
+    outbox_[size_t(src_shard) * shards_ + dst].push_back(std::move(p));
     ++shard_counters_[src_shard].cross_sent;
   }
 }
 
-void ShardedNetwork::Deliver(NodeId from, NodeId to,
-                             std::shared_ptr<const MessageBody> body) {
-  const uint32_t dst = OwnerShard(to);
-  ShardLane* lane = lanes_[dst].get();
-  if (IsAlive(to)) {
-    ++lane->stats_.messages_delivered;
-    // The handler runs as the destination: its sends, timers and draws
-    // attribute to `to`'s counter and stream, exactly as if `to` had
-    // scheduled them from one of its own events.
-    ShardSimulator* sim = sims_[dst].get();
-    const uint32_t prev = sim->current_actor();
-    sim->set_current_actor(to);
-    nodes_[to]->OnMessage(from, std::move(body));
-    sim->set_current_actor(prev);
+void ShardedNetwork::Enqueue(Simulator* dst, PendingDelivery p) {
+  if (p.ctx.valid()) {
+    dst->ScheduleKeyedAt(p.at, p.subkey,
+                         TracedShardDelivery{this, p.from, p.to,
+                                             std::move(p.body), p.ctx});
   } else {
-    lane->CountDrop(body->TypeTag(), DropCause::kEndpoint);
+    dst->ScheduleKeyedAt(p.at, p.subkey,
+                         ShardDelivery{this, p.from, p.to, std::move(p.body)});
   }
 }
 
-void ShardedNetwork::EndFlight(uint32_t dst, TraceCtx flight, SimTime at,
-                               int8_t cause) {
+void ShardedNetwork::Deliver(NodeId from, NodeId to,
+                             std::shared_ptr<const MessageBody> body,
+                             TraceCtx ctx) {
+  const uint32_t dst = OwnerShard(to);
+  // The handler runs as the destination: its sends, timers and draws
+  // attribute to `to`'s counter and stream, exactly as if `to` had
+  // scheduled them from one of its own events.
+  ShardSimulator* sim = sims_[dst].get();
+  const uint32_t prev = sim->current_actor();
+  sim->set_current_actor(to);
+  lanes_[dst]->Receive(
+      from, IsAlive(to) ? nodes_[to] : nullptr, std::move(body), ctx,
+      [this, dst](TraceCtx flight, std::optional<DropCause> cause) {
+        EndFlight(dst, flight, cause);
+      });
+  sim->set_current_actor(prev);
+}
+
+void ShardedNetwork::EndFlight(uint32_t dst, TraceCtx flight,
+                               std::optional<DropCause> cause) {
+  const SimTime at = sims_[dst]->Now();
   const uint64_t owner = flight.span_id >> Tracer::kShardIdShift;
   if (owner == dst) {
     // Own ring — apply in place (same worker thread).
-    Tracer* t = tracers_[dst].get();
-    if (cause >= 0) {
-      t->Annotate(flight, "drop", ShardDropCauseName(DropCause(cause)));
-    }
-    t->EndSpanAt(flight, at);
+    lanes_[dst]->CloseFlight(flight, at, cause);
   } else {
     // Another shard's ring: hand off at the barrier, like cross-shard sends.
     trace_endbox_[dst].push_back(TraceEndOp{flight, at, cause});
-  }
-}
-
-void ShardedNetwork::DeliverTraced(NodeId from, NodeId to,
-                                   std::shared_ptr<const MessageBody> body,
-                                   TraceCtx ctx) {
-  const uint32_t dst = OwnerShard(to);
-  ShardLane* lane = lanes_[dst].get();
-  ShardSimulator* sim = sims_[dst].get();
-  if (IsAlive(to)) {
-    ++lane->stats_.messages_delivered;
-    EndFlight(dst, ctx, sim->Now(), -1);
-    // Expose the flight ctx as the lane's ambient delivery context, so the
-    // handler's sends parent under this hop — mirrors Network::Deliver.
-    const uint32_t prev = sim->current_actor();
-    const TraceCtx prev_ctx = lane->delivery_ctx_;
-    sim->set_current_actor(to);
-    lane->delivery_ctx_ = ctx;
-    nodes_[to]->OnMessage(from, std::move(body));
-    lane->delivery_ctx_ = prev_ctx;
-    sim->set_current_actor(prev);
-  } else {
-    lane->CountDrop(body->TypeTag(), DropCause::kEndpoint);
-    EndFlight(dst, ctx, sim->Now(), int8_t(DropCause::kEndpoint));
   }
 }
 
@@ -413,17 +314,7 @@ void ShardedNetwork::DrainMailboxes() {
     auto& box = outbox_[box_idx];
     if (box.empty()) continue;
     Simulator* dst = sims_[box_idx % shards_].get();
-    for (PendingDelivery& p : box) {
-      if (p.ctx.valid()) {
-        dst->ScheduleKeyedAt(p.at, p.subkey,
-                             TracedShardDelivery{this, p.from, p.to,
-                                                 std::move(p.body), p.ctx});
-      } else {
-        dst->ScheduleKeyedAt(p.at, p.subkey,
-                             ShardDelivery{this, p.from, p.to,
-                                           std::move(p.body)});
-      }
-    }
+    for (PendingDelivery& p : box) Enqueue(dst, std::move(p));
     box.clear();  // keeps capacity: steady-state drains allocate nothing
   }
   DrainTraceEnds();
@@ -433,13 +324,8 @@ void ShardedNetwork::DrainTraceEnds() {
   for (auto& box : trace_endbox_) {
     for (const TraceEndOp& op : box) {
       const uint64_t owner = op.ctx.span_id >> Tracer::kShardIdShift;
-      if (owner >= tracers_.size()) continue;
-      Tracer* t = tracers_[owner].get();
-      if (op.drop_cause >= 0) {
-        t->Annotate(op.ctx, "drop",
-                    ShardDropCauseName(DropCause(op.drop_cause)));
-      }
-      t->EndSpanAt(op.ctx, op.at);
+      if (owner >= lanes_.size()) continue;
+      lanes_[owner]->CloseFlight(op.ctx, op.at, op.cause);
     }
     box.clear();
   }

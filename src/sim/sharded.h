@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -81,8 +82,9 @@ class ShardSimulator : public Simulator {
 /// (EnableTracing), span ids carry the shard index in the high bits over a
 /// shard-local counter, and every span gets a content-derived order key —
 /// (creator actor, per-actor trace counter), separate from the event
-/// subkeys so traced and untraced runs stay bit-identical. Lanes open
-/// flight spans in DoSend exactly like the single-threaded Network; a
+/// subkeys so traced and untraced runs stay bit-identical. Lanes run the
+/// single-threaded Network's send and delivery policies, so flight spans
+/// open and close exactly as there; a
 /// flight that lands on another shard is closed through a per-shard end-op
 /// mailbox drained at the next barrier (same handoff discipline as
 /// cross-shard sends). Merge the rings with TraceView(TracerParts()):
@@ -220,9 +222,10 @@ class ShardedNetwork {
   friend class ShardSimulator;
   class ShardLane;
 
-  /// A message crossing shards: everything the destination queue needs to
-  /// schedule the delivery bit-identically to a same-shard send. `ctx` is
-  /// the flight span (invalid when untraced).
+  /// One in-flight copy: everything its destination queue needs to schedule
+  /// the delivery, whether it is scheduled at once or mailed across shards
+  /// (bit-identically either way). `ctx` is the flight span (invalid when
+  /// untraced).
   struct PendingDelivery {
     SimTime at;
     uint64_t subkey;
@@ -232,7 +235,7 @@ class ShardedNetwork {
     TraceCtx ctx{};
   };
 
-  /// The scheduled half of a sharded send; mirrors Network::Delivery (32
+  /// The scheduled half of a sharded send, like Network::Delivery (32
   /// bytes, inline in EventFn, memcpy-relocatable).
   struct ShardDelivery {
     static constexpr bool kTriviallyRelocatable = true;
@@ -240,11 +243,13 @@ class ShardedNetwork {
     NodeId from;
     NodeId to;
     std::shared_ptr<const MessageBody> body;
-    void operator()() { engine->Deliver(from, to, std::move(body)); }
+    void operator()() {
+      engine->Deliver(from, to, std::move(body), TraceCtx{});
+    }
   };
 
   /// Delivery with its flight span aboard — scheduled only for traced
-  /// sends, mirroring Network::TracedDelivery (48 bytes, still inline).
+  /// sends, like Network::TracedDelivery (48 bytes, still inline).
   struct TracedShardDelivery {
     static constexpr bool kTriviallyRelocatable = true;
     ShardedNetwork* engine;
@@ -252,16 +257,16 @@ class ShardedNetwork {
     NodeId to;
     std::shared_ptr<const MessageBody> body;
     TraceCtx ctx;  ///< always valid here
-    void operator()() { engine->DeliverTraced(from, to, std::move(body), ctx); }
+    void operator()() { engine->Deliver(from, to, std::move(body), ctx); }
   };
 
   /// A flight span whose delivery landed off its owner shard: the end (and
   /// drop cause, for deliveries to dead nodes) is applied to the owner ring
-  /// at the next barrier. drop_cause is -1 for a clean delivery.
+  /// at the next barrier. No cause means a clean delivery.
   struct TraceEndOp {
     TraceCtx ctx;
     SimTime at;
-    int8_t drop_cause;
+    std::optional<DropCause> cause;
   };
 
   struct GlobalTask {
@@ -288,18 +293,21 @@ class ShardedNetwork {
                                                    : &node_rng_[actor];
   }
 
+  /// A lane's Send: the shared send policy with the acting node's stream;
+  /// each copy is keyed with the actor's next subkey and dispatched.
   void DoSend(uint32_t shard, ShardLane* lane, NodeId from, NodeId to,
               std::shared_ptr<const MessageBody> body);
-  void Dispatch(uint32_t src_shard, NodeId from, NodeId to, SimTime at,
-                uint64_t subkey, std::shared_ptr<const MessageBody> body,
-                TraceCtx ctx);
-  void Deliver(NodeId from, NodeId to,
-               std::shared_ptr<const MessageBody> body);
-  void DeliverTraced(NodeId from, NodeId to,
-                     std::shared_ptr<const MessageBody> body, TraceCtx ctx);
-  /// Ends `flight` for a delivery observed on shard `dst` at time `at`:
+  /// Schedules `p` on its destination shard, or mails it there when that is
+  /// not `src_shard`.
+  void Dispatch(uint32_t src_shard, PendingDelivery p);
+  /// Schedules `p`'s delivery record on `dst` under its subkey.
+  void Enqueue(Simulator* dst, PendingDelivery p);
+  /// Runs the shared delivery policy on `to`'s lane with `to` as the actor.
+  void Deliver(NodeId from, NodeId to, std::shared_ptr<const MessageBody> body,
+               TraceCtx ctx);
+  /// Ends `flight` for a delivery observed on shard `dst` at its clock:
   /// directly when dst owns the span's ring, else via dst's end-op box.
-  void EndFlight(uint32_t dst, TraceCtx flight, SimTime at, int8_t cause);
+  void EndFlight(uint32_t dst, TraceCtx flight, std::optional<DropCause> cause);
 
   /// Pops every event strictly before `horizon` on shard `s`, tracking the
   /// current actor from each popped key.

@@ -85,11 +85,10 @@ class TripleStore {
   /// Clear() calls).
   size_t dictionary_size() const { return dict_.size(); }
 
-  /// Monotonic mutation counter, in the spirit of MappingGraph::version():
-  /// any change that can alter what a pattern matches — insert, erase,
-  /// tombstone compaction, Clear — bumps it, so extent caches can validate
-  /// entries with a single integer compare instead of subscribing to
-  /// change events. Erase and compaction count too: a cache that only
+  /// Monotonic mutation counter: any change that can alter what a pattern
+  /// matches — insert, erase, tombstone compaction, Clear — bumps it, so
+  /// extent caches can validate entries with a single integer compare
+  /// instead of subscribing to change events. Erase and compaction count too: a cache that only
   /// watched inserts would happily serve rows for deleted triples.
   uint64_t version() const { return version_; }
 

@@ -202,7 +202,6 @@ inline FaultRunResult RunFaultScenario(const FaultScenario& s) {
   std::vector<OnlineExchangeAgent*> exchange_by_id(size_t(s.peers), nullptr);
   if (s.rejoin_exchange) {
     OnlineExchangeAgent::Options xopts;
-    xopts.transaction_timeout = 5.0;
     for (auto* p : peers) {
       exchange.push_back(std::make_unique<OnlineExchangeAgent>(
           &sim, p, Rng(s.seed * 59 + p->id()), xopts));

@@ -415,6 +415,37 @@ TEST_F(GridVineTest, ConjunctiveQueryJoins) {
   EXPECT_EQ(res.rows[0].at("l").value(), "1204");
 }
 
+TEST(GridVineConjunctiveTest, CollectModeMatchesBindModeOnUnroutablePattern) {
+  // The second pattern has no constant to route on, so the collect-then-join
+  // baseline must bind it like bind mode does rather than scan it for nothing.
+  GridVineNetwork::Options o;
+  o.num_peers = 16;
+  o.key_depth = 12;
+  o.seed = 5;
+  o.latency = GridVineNetwork::LatencyKind::kConstant;
+  o.latency_param = 0.02;
+  GridVineNetwork net(o);
+  for (const Triple& t :
+       {T("w:a", "W#type", "gadget"), T("w:a", "W#color", "red"),
+        T("w:b", "W#type", "widget"), T("w:b", "W#color", "blue")}) {
+    ASSERT_TRUE(net.InsertTriple(0, t).ok());
+  }
+  ConjunctiveQuery q(
+      {"x", "p", "v"},
+      {TriplePattern(Term::Var("x"), Term::Uri("W#type"),
+                     Term::Literal("gadget")),
+       TriplePattern(Term::Var("x"), Term::Var("p"), Term::Var("v"))});
+  GridVinePeer::QueryOptions bind;
+  GridVinePeer::QueryOptions collect;
+  collect.bind_join = false;
+  auto bound = net.SearchForConjunctive(9, q, bind);
+  auto collected = net.SearchForConjunctive(9, q, collect);
+  ASSERT_TRUE(bound.status.ok()) << bound.status;
+  ASSERT_TRUE(collected.status.ok()) << collected.status;
+  EXPECT_EQ(bound.rows.size(), 2u);
+  EXPECT_EQ(collected.rows, bound.rows);
+}
+
 TEST_F(GridVineTest, ConjunctiveQueryEmptyJoinShortCircuits) {
   ConjunctiveQuery q(
       {"x"},

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/trace.h"
 #include "sim/fault_plan.h"
+#include "sim/sharded.h"
 
 namespace gridvine {
 namespace {
@@ -345,6 +348,373 @@ TEST(FaultPlanTest, IdlePlanDoesNotPerturbASeededRun) {
   };
   EXPECT_TRUE(run(false) == run(true));
 }
+
+// --- Transport parity: one send and delivery policy on both engines --------
+
+/// One engine behind one test interface: the classic Network (shards == 0) or
+/// a ShardedNetwork whose lanes carry the traffic. Sharded mid-run liveness
+/// flips go through ScheduleGlobal, the engine's quiescent-point hook.
+class Transport {
+ public:
+  explicit Transport(uint32_t shards, double loss = 0.0) {
+    if (shards == 0) {
+      net_ = std::make_unique<Network>(
+          &sim_, std::make_unique<ConstantLatency>(0.1), Rng(7), loss);
+      tracer_.SetClock([this] { return sim_.Now(); });
+      net_->SetTracer(&tracer_);
+    } else {
+      ShardedNetwork::Options o;
+      o.shards = shards;
+      o.seed = 7;
+      o.loss_probability = loss;
+      o.latency = std::make_unique<ConstantLatency>(0.1);
+      engine_ = std::make_unique<ShardedNetwork>(std::move(o));
+    }
+  }
+
+  NodeId Add(NetworkNode* node) {
+    return engine_ ? engine_->AddNode(node) : net_->AddNode(node);
+  }
+  void SetAlive(NodeId id, bool alive) {
+    engine_ ? engine_->SetAlive(id, alive) : net_->SetAlive(id, alive);
+  }
+  void SetFaultPlan(std::unique_ptr<FaultPlan> plan) {
+    engine_ ? engine_->SetFaultPlan(std::move(plan))
+            : net_->SetFaultPlan(std::move(plan));
+  }
+
+  /// Sends now, as `from` (the sharded engine draws from its stream).
+  void Send(NodeId from, NodeId to, int value, TraceCtx ctx = {}) {
+    auto body = std::make_shared<TestMsg>(value);
+    body->trace_ctx = ctx;
+    if (engine_) {
+      engine_->RunAsNode(from,
+                         [&] { engine_->LaneFor(from)->Send(from, to, body); });
+    } else {
+      net_->Send(from, to, body);
+    }
+  }
+  /// Sends at absolute time `t`, from one of `from`'s own events.
+  void SendAt(SimTime t, NodeId from, NodeId to, int value) {
+    auto send = [this, from, to, value] {
+      Network* net = engine_ ? engine_->LaneFor(from) : net_.get();
+      net->Send(from, to, std::make_shared<TestMsg>(value));
+    };
+    if (engine_) {
+      engine_->ScheduleForNode(from, t - engine_->Now(), send);
+    } else {
+      sim_.ScheduleAt(t, send);
+    }
+  }
+  /// Takes `id` down at absolute time `t`.
+  void KillAt(SimTime t, NodeId id) {
+    if (engine_) {
+      engine_->ScheduleGlobal(t, [this, id] { engine_->SetAlive(id, false); });
+    } else {
+      sim_.ScheduleAt(t, [this, id] { net_->SetAlive(id, false); });
+    }
+  }
+
+  void Run() { engine_ ? void(engine_->RunUntilIdle()) : void(sim_.Run()); }
+  SimTime Now() const { return engine_ ? engine_->Now() : sim_.Now(); }
+  NetworkStats stats() const {
+    return engine_ ? engine_->AggregateStats() : net_->stats();
+  }
+
+  void EnableTracing() {
+    engine_ ? engine_->EnableTracing() : tracer_.Enable();
+  }
+  /// A trace root for traced sends (on shard 0's ring when sharded).
+  TraceCtx Root() {
+    return engine_ ? engine_->TracerForShard(0)->StartTrace("root")
+                   : tracer_.StartTrace("root");
+  }
+  /// The flight spans ("test" messages) recorded on every ring.
+  std::vector<Tracer::Span> Flights() {
+    std::vector<Tracer*> rings{&tracer_};
+    if (engine_) rings = engine_->TracerParts();
+    std::vector<Tracer::Span> out;
+    for (Tracer* t : rings) {
+      for (const Tracer::Span& s : t->Snapshot()) {
+        if (s.name == "test") out.push_back(s);
+      }
+    }
+    return out;
+  }
+  /// The ring that records spans opened by `id`'s sends.
+  Tracer* RingOf(NodeId id) {
+    return engine_ ? engine_->TracerForShard(engine_->OwnerShard(id))
+                   : &tracer_;
+  }
+
+ private:
+  Simulator sim_;
+  Tracer tracer_;
+  std::unique_ptr<Network> net_;
+  std::unique_ptr<ShardedNetwork> engine_;
+};
+
+std::string Annotation(const Tracer::Span& span, std::string_view key) {
+  for (const auto& a : span.annotations) {
+    if (a.key == key) return a.is_number ? std::to_string(a.number) : a.text;
+  }
+  return "";
+}
+
+/// The NetworkTest fault cases above, on shard lanes: same expected counts
+/// and times as the classic network.
+class TransportParityTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  TransportParityTest() : t_(GetParam()) {}
+  Transport t_;
+};
+
+/// Flight-span checks, on every engine.
+class FlightSpanTest : public TransportParityTest {};
+
+TEST_P(TransportParityTest, DeadSenderSendsNothing) {
+  Recorder a, b;
+  NodeId ida = t_.Add(&a);
+  NodeId idb = t_.Add(&b);
+  t_.SetAlive(ida, false);
+  t_.Send(ida, idb, 1);
+  t_.Run();
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(t_.stats().drops_endpoint, 1u);
+  EXPECT_EQ(t_.stats().messages_dropped, 1u);
+}
+
+TEST_P(TransportParityTest, DropsToDeadNode) {
+  Recorder a, b;
+  NodeId ida = t_.Add(&a);
+  NodeId idb = t_.Add(&b);
+  t_.SetAlive(idb, false);
+  t_.Send(ida, idb, 1);
+  t_.Run();
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(t_.stats().drops_endpoint, 1u);
+  EXPECT_EQ(t_.stats().messages_dropped, 1u);
+}
+
+TEST_P(TransportParityTest, DropsIfNodeDiesInFlight) {
+  Recorder a, b;
+  NodeId ida = t_.Add(&a);
+  NodeId idb = t_.Add(&b);
+  t_.Send(ida, idb, 1);
+  t_.KillAt(0.05, idb);  // before the 0.1 s delivery fires
+  t_.Run();
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(t_.stats().drops_endpoint, 1u);
+  EXPECT_EQ(t_.stats().messages_dropped, 1u);
+  EXPECT_EQ(t_.stats().messages_delivered, 0u);
+}
+
+TEST_P(TransportParityTest, PartitionDropsBothWaysWithAttribution) {
+  Recorder a, b, c;
+  NodeId ida = t_.Add(&a);
+  NodeId idb = t_.Add(&b);
+  NodeId idc = t_.Add(&c);
+  auto plan = std::make_unique<FaultPlan>();
+  FaultPlan::Partition part;
+  part.start = 0.0;
+  part.end = 10.0;
+  part.group_a = {ida};
+  part.group_b = {idb};
+  plan->AddPartition(part);
+  t_.SetFaultPlan(std::move(plan));
+
+  t_.Send(ida, idb, 1);  // dropped a→b
+  t_.Send(idb, ida, 2);  // dropped b→a
+  t_.Send(ida, idc, 3);  // c unaffected
+  t_.Run();
+  EXPECT_TRUE(a.received.empty());
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(c.received.size(), 1u);
+  EXPECT_EQ(t_.stats().drops_partition, 2u);
+  EXPECT_EQ(t_.stats().messages_dropped, 2u);
+  EXPECT_EQ(t_.stats().DropsForType("test"), 2u);
+
+  // Outside the window the same pair communicates again.
+  t_.SendAt(11.0, ida, idb, 4);
+  t_.Run();
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(b.received[0].second, 4);
+  EXPECT_DOUBLE_EQ(t_.Now(), 11.1);
+}
+
+TEST_P(TransportParityTest, LossBurstDropsInsideTheWindowOnly) {
+  Recorder a, b;
+  NodeId ida = t_.Add(&a);
+  NodeId idb = t_.Add(&b);
+  auto plan = std::make_unique<FaultPlan>();
+  plan->AddLossBurst({/*start=*/0.0, /*end=*/5.0, /*probability=*/1.0});
+  t_.SetFaultPlan(std::move(plan));
+
+  for (int i = 0; i < 10; ++i) t_.Send(ida, idb, i);  // all inside
+  t_.SendAt(6.0, ida, idb, 99);
+  t_.Run();
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(b.received[0].second, 99);
+  EXPECT_EQ(t_.stats().drops_burst, 10u);
+  EXPECT_EQ(t_.stats().messages_dropped, 10u);
+}
+
+TEST_P(TransportParityTest, DuplicationDeliversTwiceAndKeepsConservation) {
+  Recorder a, b;
+  NodeId ida = t_.Add(&a);
+  NodeId idb = t_.Add(&b);
+  auto plan = std::make_unique<FaultPlan>();
+  plan->set_duplicate_probability(1.0);
+  t_.SetFaultPlan(std::move(plan));
+
+  for (int i = 0; i < 5; ++i) t_.Send(ida, idb, i);
+  t_.Run();
+  const NetworkStats s = t_.stats();
+  EXPECT_EQ(b.received.size(), 10u);
+  EXPECT_EQ(s.messages_sent, 5u);
+  EXPECT_EQ(s.messages_duplicated, 5u);
+  EXPECT_EQ(s.messages_delivered, 10u);
+  EXPECT_EQ(s.messages_sent + s.messages_duplicated,
+            s.messages_delivered + s.messages_dropped);
+}
+
+TEST_P(TransportParityTest, DuplicateCopyCanStillDieInFlight) {
+  Recorder a, b;
+  NodeId ida = t_.Add(&a);
+  NodeId idb = t_.Add(&b);
+  auto plan = std::make_unique<FaultPlan>();
+  plan->set_duplicate_probability(1.0);
+  t_.SetFaultPlan(std::move(plan));
+
+  t_.Send(ida, idb, 1);
+  t_.KillAt(0.01, idb);  // both copies are still in flight
+  t_.Run();
+  const NetworkStats s = t_.stats();
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(s.messages_duplicated, 1u);
+  EXPECT_EQ(s.drops_endpoint, 2u);
+  EXPECT_EQ(s.messages_dropped, 2u);
+  EXPECT_EQ(s.messages_sent + s.messages_duplicated,
+            s.messages_delivered + s.messages_dropped);
+}
+
+TEST_P(TransportParityTest, LatencySpikeDelaysDeliveriesInsideTheWindow) {
+  Recorder a, b;
+  NodeId ida = t_.Add(&a);
+  NodeId idb = t_.Add(&b);
+  auto plan = std::make_unique<FaultPlan>();
+  plan->AddLatencySpike({/*start=*/0.0, /*end=*/1.0, /*extra=*/0.5,
+                         /*extra_mean_tail=*/0.0});
+  t_.SetFaultPlan(std::move(plan));
+
+  t_.Send(ida, idb, 1);
+  t_.Run();
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_DOUBLE_EQ(t_.Now(), 0.6);  // 0.1 base + 0.5 spike
+
+  // A send after the window pays only base latency again.
+  t_.SendAt(2.0, ida, idb, 2);
+  t_.Run();
+  ASSERT_EQ(b.received.size(), 2u);
+  EXPECT_DOUBLE_EQ(t_.Now(), 2.1);
+}
+
+TEST_P(FlightSpanTest, DroppedFlightSpanIsClosedWithItsCause) {
+  enum Fault { kDeadDestination, kBaseLoss, kBurst, kPartition };
+  const std::pair<Fault, std::string> cases[] = {{kDeadDestination, "endpoint"},
+                                                 {kBaseLoss, "loss"},
+                                                 {kBurst, "burst"},
+                                                 {kPartition, "partition"}};
+  for (const auto& [fault, cause] : cases) {
+    SCOPED_TRACE(cause);
+    Transport t(GetParam(), /*loss=*/fault == kBaseLoss ? 1.0 : 0.0);
+    Recorder a, b;
+    NodeId ida = t.Add(&a);
+    NodeId idb = t.Add(&b);
+    auto plan = std::make_unique<FaultPlan>();
+    if (fault == kDeadDestination) t.SetAlive(idb, false);
+    if (fault == kBurst) plan->AddLossBurst({0.0, 1.0, 1.0});
+    if (fault == kPartition) {
+      FaultPlan::Partition part;
+      part.start = 0.0;
+      part.end = 1.0;
+      part.group_a = {ida};
+      part.group_b = {idb};
+      plan->AddPartition(part);
+    }
+    t.SetFaultPlan(std::move(plan));
+    t.EnableTracing();
+    t.Send(ida, idb, 1, t.Root());
+    t.Run();
+
+    EXPECT_EQ(t.stats().messages_dropped, 1u);
+    std::vector<Tracer::Span> flights = t.Flights();
+    ASSERT_EQ(flights.size(), 1u);
+    EXPECT_EQ(Annotation(flights[0], "drop"), cause);
+    EXPECT_DOUBLE_EQ(flights[0].end, 0.0);  // closed at send time
+  }
+}
+
+TEST_P(FlightSpanTest, DuplicateFlightSpanIsAChildOfTheOriginal) {
+  Recorder a, b;
+  NodeId ida = t_.Add(&a);
+  NodeId idb = t_.Add(&b);
+  auto plan = std::make_unique<FaultPlan>();
+  plan->set_duplicate_probability(1.0);
+  t_.SetFaultPlan(std::move(plan));
+  t_.EnableTracing();
+  const TraceCtx root = t_.Root();
+  t_.Send(ida, idb, 1, root);
+  t_.Run();
+
+  EXPECT_EQ(b.received.size(), 2u);
+  std::vector<Tracer::Span> flights = t_.Flights();
+  ASSERT_EQ(flights.size(), 2u);
+  const bool first_is_dup = !Annotation(flights[0], "duplicate").empty();
+  const Tracer::Span& original = flights[first_is_dup ? 1 : 0];
+  const Tracer::Span& dup = flights[first_is_dup ? 0 : 1];
+  EXPECT_EQ(original.parent_id, root.span_id);
+  EXPECT_EQ(Annotation(original, "duplicate"), "");
+  EXPECT_EQ(dup.parent_id, original.span_id);
+  EXPECT_EQ(dup.trace_id, original.trace_id);
+  EXPECT_EQ(Annotation(dup, "duplicate"), std::to_string(1.0));
+  EXPECT_DOUBLE_EQ(original.end, 0.1);
+  EXPECT_DOUBLE_EQ(dup.end, 0.1);
+}
+
+TEST_P(FlightSpanTest, FlightToNodeThatDiesInFlightClosesOnSendersRing) {
+  // With two shards, node 0 and node 1 live on different shards: the flight
+  // opens on node 0's ring, and the drop observed on node 1's shard is
+  // handed back across the barrier to close it there.
+  Recorder a, b;
+  NodeId ida = t_.Add(&a);
+  NodeId idb = t_.Add(&b);
+  t_.EnableTracing();
+  t_.Send(ida, idb, 1, t_.Root());
+  t_.KillAt(0.05, idb);
+  t_.Run();
+
+  EXPECT_EQ(t_.stats().drops_endpoint, 1u);
+  std::vector<Tracer::Span> flights = t_.Flights();
+  ASSERT_EQ(flights.size(), 1u);
+  EXPECT_EQ(Annotation(flights[0], "drop"), "endpoint");
+  EXPECT_DOUBLE_EQ(flights[0].end, 0.1);  // the delivery time, not the barrier
+  size_t on_sender_ring = 0;
+  for (const Tracer::Span& s : t_.RingOf(ida)->Snapshot()) {
+    if (s.span_id == flights[0].span_id) ++on_sender_ring;
+  }
+  EXPECT_EQ(on_sender_ring, 1u);
+}
+
+std::string EngineName(const ::testing::TestParamInfo<uint32_t>& info) {
+  return info.param == 0 ? std::string("Classic")
+                         : "Shards" + std::to_string(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, TransportParityTest, ::testing::Values(1u, 2u),
+                         EngineName);
+INSTANTIATE_TEST_SUITE_P(Engines, FlightSpanTest, ::testing::Values(0u, 1u, 2u),
+                         EngineName);
 
 }  // namespace
 }  // namespace gridvine

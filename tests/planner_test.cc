@@ -127,6 +127,26 @@ TEST(PlanPhysicalTest, BindJoinChainShape) {
   EXPECT_EQ(bind.Order(), coll.Order());
 }
 
+TEST(PlanPhysicalTest, CollectModeBindsUnroutablePatternWithoutEstimates) {
+  // A full RemoteScan of an all-variable pattern has no routing key and
+  // resolves no rows, so collect mode must bind it even with no statistics.
+  ConjunctiveQuery q(
+      {"x"},
+      {P(Term::Uri("s"), Term::Uri("p0"), Term::Var("x")),
+       P(Term::Var("x"), Term::Var("p"), Term::Var("v"))});
+  PlanOptions collect;
+  collect.bind_join = false;
+  PhysicalPlan plan = PlanPhysical(q, collect);
+  ASSERT_EQ(plan.groups.size(), 1u);
+  const auto& steps = plan.groups[0].steps;
+  ASSERT_EQ(steps.size(), 3u);
+  EXPECT_EQ(steps[0].kind, OpKind::kRemoteScan);
+  EXPECT_EQ(steps[0].pattern, 0u);
+  EXPECT_EQ(steps[2].kind, OpKind::kBindJoin);
+  EXPECT_EQ(steps[2].pattern, 1u);
+  EXPECT_TRUE(plan.groups[0].est_cards.empty());
+}
+
 TEST(PlanPhysicalTest, FullyConstantPatternBecomesExistenceCheck) {
   ConjunctiveQuery q(
       {"x"},

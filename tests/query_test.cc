@@ -2,7 +2,6 @@
 
 #include "query/query.h"
 #include "query/reformulation.h"
-#include "query/reformulation_cache.h"
 
 namespace gridvine {
 namespace {
@@ -228,120 +227,6 @@ TEST(OrientMappingsTest, DeprecatedExcluded) {
   auto m = OrganismMapping("ab", "A", "B");
   m.set_deprecated(true);
   EXPECT_TRUE(OrientMappingsFrom("A", {m}).empty());
-}
-
-// --- ReformulationCache ------------------------------------------------------
-
-std::set<std::string> SchemasOf(const std::vector<ReformulatedQuery>& rs) {
-  std::set<std::string> out;
-  for (const auto& r : rs) out.insert(r.schema);
-  return out;
-}
-
-TEST(ReformulationCacheTest, HitReturnsSameExpansions) {
-  MappingGraph g;
-  g.AddMapping(OrganismMapping("ab", "A", "B"));
-  g.AddMapping(OrganismMapping("bc", "B", "C"));
-
-  ReformulationCache cache;
-  auto q = OrganismQuery("A");
-  auto first = cache.Expand(q, g, 5);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-  auto second = cache.Expand(q, g, 5);
-  EXPECT_EQ(cache.hits(), 1u);
-
-  ASSERT_EQ(first.size(), second.size());
-  auto plain = ExpandQuery(q, g, 5);
-  ASSERT_EQ(second.size(), plain.size());
-  EXPECT_EQ(SchemasOf(second), SchemasOf(plain));
-  for (size_t i = 0; i < second.size(); ++i) {
-    EXPECT_EQ(second[i].query.Serialize(), first[i].query.Serialize());
-    EXPECT_EQ(second[i].mapping_ids, first[i].mapping_ids);
-    EXPECT_EQ(second[i].confidence, first[i].confidence);
-  }
-}
-
-TEST(ReformulationCacheTest, CacheKeyedByPredicateNotWholeQuery) {
-  MappingGraph g;
-  g.AddMapping(OrganismMapping("ab", "A", "B"));
-  ReformulationCache cache;
-  cache.Expand(OrganismQuery("A"), g, 5);
-  // Same predicate, different object constant: the derivation is reusable.
-  TriplePatternQuery other("x",
-                           TriplePattern(Term::Var("x"), Term::Uri("A#Organism"),
-                                         Term::Literal("%Penicillium%")));
-  auto rs = cache.Expand(other, g, 5);
-  EXPECT_EQ(cache.hits(), 1u);
-  ASSERT_EQ(rs.size(), 1u);
-  // The cached derivation is re-applied to THIS query's pattern.
-  EXPECT_EQ(rs[0].query.pattern().object().value(), "%Penicillium%");
-  EXPECT_EQ(rs[0].query.pattern().predicate().value(), "B#Organism");
-}
-
-TEST(ReformulationCacheTest, AddMappingInvalidates) {
-  MappingGraph g;
-  g.AddMapping(OrganismMapping("ab", "A", "B"));
-  ReformulationCache cache;
-  auto q = OrganismQuery("A");
-  EXPECT_EQ(cache.Expand(q, g, 5).size(), 1u);
-  uint64_t v = g.version();
-  g.AddMapping(OrganismMapping("bc", "B", "C"));
-  EXPECT_GT(g.version(), v);
-  // Stale entry is recomputed, not served: the new schema C appears.
-  auto rs = cache.Expand(q, g, 5);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(SchemasOf(rs), (std::set<std::string>{"B", "C"}));
-}
-
-TEST(ReformulationCacheTest, DeprecateInvalidates) {
-  MappingGraph g;
-  g.AddMapping(OrganismMapping("ab", "A", "B"));
-  g.AddMapping(OrganismMapping("bc", "B", "C"));
-  ReformulationCache cache;
-  auto q = OrganismQuery("A");
-  EXPECT_EQ(cache.Expand(q, g, 5).size(), 2u);
-  uint64_t v = g.version();
-  ASSERT_TRUE(g.Deprecate("bc"));
-  EXPECT_GT(g.version(), v);
-  auto rs = cache.Expand(q, g, 5);
-  EXPECT_EQ(SchemasOf(rs), (std::set<std::string>{"B"}));
-  // Deprecating an already-deprecated mapping is a no-op: version stable,
-  // so the recomputed entry now serves hits again.
-  v = g.version();
-  g.Deprecate("bc");
-  EXPECT_EQ(g.version(), v);
-  cache.Expand(q, g, 5);
-  EXPECT_EQ(cache.hits(), 1u);
-}
-
-TEST(ReformulationCacheTest, RemoveMappingInvalidates) {
-  MappingGraph g;
-  g.AddMapping(OrganismMapping("ab", "A", "B"));
-  ReformulationCache cache;
-  auto q = OrganismQuery("A");
-  EXPECT_EQ(cache.Expand(q, g, 5).size(), 1u);
-  ASSERT_TRUE(g.RemoveMapping("ab"));
-  EXPECT_TRUE(cache.Expand(q, g, 5).empty());
-  // Removing a nonexistent mapping does not bump the version.
-  uint64_t v = g.version();
-  g.RemoveMapping("nope");
-  EXPECT_EQ(g.version(), v);
-}
-
-TEST(ReformulationCacheTest, DistinctHopBudgetsCachedSeparately) {
-  MappingGraph g;
-  g.AddMapping(OrganismMapping("ab", "A", "B"));
-  g.AddMapping(OrganismMapping("bc", "B", "C"));
-  ReformulationCache cache;
-  auto q = OrganismQuery("A");
-  EXPECT_EQ(cache.Expand(q, g, 1).size(), 1u);
-  EXPECT_EQ(cache.Expand(q, g, 5).size(), 2u);
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
-  cache.Clear();
-  EXPECT_EQ(cache.entries(), 0u);
 }
 
 TEST(ExpandQueryTest, EmptyForVariablePredicate) {
