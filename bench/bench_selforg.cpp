@@ -41,16 +41,19 @@ int main(int argc, char** argv) {
   std::printf("E9: self-organization + schema evolution vs network size\n");
   std::printf("  8 schemas, mappings from zero, evolution at convergence, "
               "recovery target 95%%\n\n");
-  std::printf("  %-8s %9s %9s %8s %8s %9s %8s %9s %9s\n", "peers", "conv",
-              "organize", "recall", "dip", "recover", "recall'", "stale",
-              "created");
+  std::printf("  %-8s %9s %9s %8s %8s %9s %8s %9s %9s %9s %10s\n", "peers",
+              "conv", "organize", "recall", "dip", "recover", "recall'",
+              "stale", "created", "messages", "bytes");
 
   for (size_t peers : sizes) {
     EvolutionScaleResult r = RunEvolutionAtScale(peers, /*seed=*/404);
-    std::printf("  %-8zu %9d %8.1fs %7.0f%% %7.0f%% %9d %7.0f%% %9zu %9zu\n",
-                r.peers, r.convergence_rounds, r.organize_seconds,
-                r.recall_pre * 100, r.recall_post * 100, r.recovery_rounds,
-                r.recall_final * 100, r.stale_deprecated, r.created_total);
+    std::printf(
+        "  %-8zu %9d %8.1fs %7.0f%% %7.0f%% %9d %7.0f%% %9zu %9zu %9llu "
+        "%10llu\n",
+        r.peers, r.convergence_rounds, r.organize_seconds, r.recall_pre * 100,
+        r.recall_post * 100, r.recovery_rounds, r.recall_final * 100,
+        r.stale_deprecated, r.created_total, (unsigned long long)r.messages,
+        (unsigned long long)r.bytes);
     json.Add("peers_" + std::to_string(peers),
              {{"peers", double(r.peers)},
               {"convergence_rounds", double(r.convergence_rounds)},
@@ -63,6 +66,8 @@ int main(int argc, char** argv) {
               {"stale_deprecated", double(r.stale_deprecated)},
               {"created_total", double(r.created_total)},
               {"bp_messages", double(r.bp_messages)},
+              {"messages", double(r.messages)},
+              {"bytes", double(r.bytes)},
               {"organize_seconds", r.organize_seconds},
               {"repair_seconds", r.repair_seconds}});
   }

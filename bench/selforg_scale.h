@@ -34,6 +34,10 @@ struct EvolutionScaleResult {
   size_t stale_deprecated = 0;  // dangling mappings repaired away
   size_t created_total = 0;     // mappings created over the whole run
   uint64_t bp_messages = 0;     // lifetime incremental BP messages
+  // Simulated traffic of the convergence and post-evolution loops
+  // ("net.messages_sent" / "net.bytes_sent" deltas).
+  uint64_t messages = 0;
+  uint64_t bytes = 0;
   double organize_seconds = 0;  // wall time of the initial convergence loop
   double repair_seconds = 0;    // wall time of the post-evolution loop
 };
@@ -105,7 +109,24 @@ inline EvolutionScaleResult RunEvolutionAtScale(size_t peers, uint64_t seed,
     queries.push_back(workload.MakeQuery(s, &qrng, "organism"));
   }
 
+  // Messages and bytes sent network-wide so far; CollectMetrics reads
+  // either engine.
+  struct Traffic {
+    uint64_t messages = 0, bytes = 0;
+  };
+  auto traffic = [&net] {
+    MetricsRegistry& m = net.CollectMetrics();
+    return Traffic{m.Counter("net.messages_sent"), m.Counter("net.bytes_sent")};
+  };
+  // Adds the traffic since `mark` to out.messages / out.bytes.
+  auto add_traffic_since = [&](const Traffic& mark) {
+    Traffic now = traffic();
+    out.messages += now.messages - mark.messages;
+    out.bytes += now.bytes - mark.bytes;
+  };
+
   // Phase 1: organize from zero mappings to global interoperability.
+  Traffic mark = traffic();
   auto t0 = clock::now();
   const int kMaxRounds = 16;
   for (int round = 1; round <= kMaxRounds; ++round) {
@@ -121,6 +142,7 @@ inline EvolutionScaleResult RunEvolutionAtScale(size_t peers, uint64_t seed,
   }
   out.organize_seconds =
       std::chrono::duration<double>(clock::now() - t0).count();
+  add_traffic_since(mark);
   out.recall_pre = MeasureScaleRecall(net, queries, workload);
 
   // Phase 2: one schema evolves — every renamable attribute moves to a
@@ -138,6 +160,7 @@ inline EvolutionScaleResult RunEvolutionAtScale(size_t peers, uint64_t seed,
   out.recall_post = MeasureScaleRecall(net, queries, workload);
 
   // Phase 3: continued rounds repair (stale deprecation) and re-derive.
+  mark = traffic();
   t0 = clock::now();
   const int kMaxRepairRounds = 10;
   for (int round = 1; round <= kMaxRepairRounds; ++round) {
@@ -162,6 +185,7 @@ inline EvolutionScaleResult RunEvolutionAtScale(size_t peers, uint64_t seed,
   }
   out.repair_seconds =
       std::chrono::duration<double>(clock::now() - t0).count();
+  add_traffic_since(mark);
   out.bp_messages = organizer.assessor().lifetime_messages();
   return out;
 }

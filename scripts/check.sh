@@ -5,9 +5,9 @@
 #   $ scripts/check.sh            # RelWithDebInfo build + ctest
 #   $ scripts/check.sh --asan     # ASan/UBSan build, runs store, query,
 #                                 # planner, property, rng-seeding, wiring,
-#                                 # GridVine peer, dispatch-branch, executor,
-#                                 # serving, fault, sharded, trace and
-#                                 # selforg tests
+#                                 # P-Grid peer, GridVine peer,
+#                                 # dispatch-branch, executor, serving, fault,
+#                                 # sharded, trace and selforg tests
 #   $ scripts/check.sh --tsan     # TSan build, runs the sharded-engine tests
 set -euo pipefail
 
@@ -37,10 +37,10 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-san -S . -DGV_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-san -j "$(nproc)" --target triple_store_test query_test \
     planner_test property_test rng_test pgrid_builder_test compact_peer_test \
-    gridvine_peer_test dispatch_branch_test executor_test serving_test \
-    churn_test retry_policy_test network_test conjunctive_chaos_test \
-    sharded_determinism_test sharded_soak_test trace_test \
-    incremental_assessor_test self_organizer_test embedding_test
+    pgrid_peer_test gridvine_peer_test dispatch_branch_test executor_test \
+    serving_test churn_test retry_policy_test network_test \
+    conjunctive_chaos_test sharded_determinism_test sharded_soak_test \
+    trace_test incremental_assessor_test self_organizer_test embedding_test
   export ASAN_OPTIONS=detect_leaks=1
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   ./build-san/tests/triple_store_test
@@ -52,6 +52,9 @@ if [[ "${1:-}" == "--asan" ]]; then
   ./build-san/tests/rng_test
   ./build-san/tests/pgrid_builder_test
   ./build-san/tests/compact_peer_test
+  # The retrieve responder compares caller-supplied value prefixes against
+  # arbitrary stored bytes.
+  ./build-san/tests/pgrid_peer_test
   # Query dispatch/reformulation bookkeeping (pending-query lifetimes).
   ./build-san/tests/gridvine_peer_test
   # Re-entrant paths: a dispatch branch that closes inside its own open step

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -34,10 +35,17 @@ bool ParseWhole(const std::string& field, T* out) {
   return ec == std::errc() && ptr == end;
 }
 
-/// Record-type prefixes distinguishing non-triple values in overlay storage.
+/// Record-kind tags: every non-triple value in overlay storage starts with
+/// one. Each record fetch passes its tag as the retrieve's value prefix, so
+/// the responder ships only that kind, not the triples sharing the key; the
+/// requester still checks the tag, since DHT records are untrusted bytes.
+constexpr std::string_view kSchemaTag = "schema|";
+constexpr std::string_view kMappingTag = "mapping|";
+constexpr std::string_view kDegreeTag = "conn|";
+
 bool IsStructuredRecord(const std::string& value) {
-  return StartsWith(value, "schema|") || StartsWith(value, "mapping|") ||
-         StartsWith(value, "conn|");
+  return StartsWith(value, kSchemaTag) || StartsWith(value, kMappingTag) ||
+         StartsWith(value, kDegreeTag);
 }
 
 /// Aggregates N update acknowledgements into one status callback: the first
@@ -206,7 +214,7 @@ void GridVinePeer::UpsertSchema(const Schema& schema, StatusCallback cb) {
         std::vector<std::string> stale;
         if (r.ok()) {
           for (const auto& value : r->values) {
-            if (!StartsWith(value, "schema|")) continue;
+            if (!StartsWith(value, kSchemaTag)) continue;
             auto parsed = Schema::Parse(value);
             if (parsed.ok() && parsed->name() == schema.name() &&
                 value != fresh) {
@@ -224,7 +232,8 @@ void GridVinePeer::UpsertSchema(const Schema& schema, StatusCallback cb) {
                   ? Result<PGridPeer::UpdateOutcome>(PGridPeer::UpdateOutcome{})
                   : Result<PGridPeer::UpdateOutcome>(s));
         });
-      });
+      },
+      kSchemaTag);
 }
 
 namespace {
@@ -299,7 +308,7 @@ void GridVinePeer::FetchSchema(const std::string& name,
           return;
         }
         for (const auto& value : r->values) {
-          if (!StartsWith(value, "schema|")) continue;
+          if (!StartsWith(value, kSchemaTag)) continue;
           auto schema = Schema::Parse(value);
           if (schema.ok() && schema->name() == name) {
             cb(std::move(schema));
@@ -307,7 +316,8 @@ void GridVinePeer::FetchSchema(const std::string& name,
           }
         }
         cb(Status::NotFound("schema not in network: " + name));
-      });
+      },
+      kSchemaTag);
 }
 
 void GridVinePeer::FetchMappingsFor(
@@ -321,12 +331,13 @@ void GridVinePeer::FetchMappingsFor(
         }
         std::vector<SchemaMapping> mappings;
         for (const auto& value : r->values) {
-          if (!StartsWith(value, "mapping|")) continue;
+          if (!StartsWith(value, kMappingTag)) continue;
           auto m = SchemaMapping::Parse(value);
           if (m.ok()) mappings.push_back(std::move(m).value());
         }
         cb(std::move(mappings));
-      });
+      },
+      kMappingTag);
 }
 
 // --- Connectivity registry ------------------------------------------------------
@@ -342,8 +353,9 @@ void GridVinePeer::PublishDegree(const std::string& domain,
     cb(valid);
     return;
   }
-  std::string record = "conn|" + schema + "|" + std::to_string(in_degree) +
-                       "|" + std::to_string(out_degree) + "|" +
+  std::string record = std::string(kDegreeTag) + schema + "|" +
+                       std::to_string(in_degree) + "|" +
+                       std::to_string(out_degree) + "|" +
                        std::to_string(next_version_++);
   auto prev_key = std::make_pair(domain, schema);
   auto it = published_degrees_.find(prev_key);
@@ -368,7 +380,7 @@ void GridVinePeer::FetchDomainDegrees(
         // Keep the latest version per schema.
         std::map<std::string, DegreeRecord> latest;
         for (const auto& value : r->values) {
-          if (!StartsWith(value, "conn|")) continue;
+          if (!StartsWith(value, kDegreeTag)) continue;
           auto parts = Split(value, '|');
           if (parts.size() != 5) continue;
           DegreeRecord rec;
@@ -390,7 +402,8 @@ void GridVinePeer::FetchDomainDegrees(
         out.reserve(latest.size());
         for (auto& [_, rec] : latest) out.push_back(rec);
         cb(std::move(out));
-      });
+      },
+      kDegreeTag);
 }
 
 // --- Observability --------------------------------------------------------------

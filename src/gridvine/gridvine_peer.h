@@ -190,6 +190,9 @@ class GridVinePeer {
   void UpsertMapping(const SchemaMapping& mapping, StatusCallback cb);
 
   // --- Mediation-layer lookups ---------------------------------------------
+  // Each fetch (and UpsertSchema's) names its record kind as the retrieve's
+  // value prefix: a schema's records share their key with the schema's
+  // predicate-indexed triples, which therefore never travel back.
 
   /// Fetches a schema definition by name.
   void FetchSchema(const std::string& name,

@@ -17,10 +17,13 @@ namespace gridvine {
 enum class UpdateOp { kInsert, kDelete };
 
 /// Routed lookup: travels peer-to-peer via prefix routing until it reaches a
-/// peer responsible for `key`, which answers the `origin` directly.
+/// peer responsible for `key`, which answers the `origin` directly with the
+/// values stored under `key` that start with `value_prefix` (all of them
+/// when it is empty).
 struct RetrieveRequest : MessageBody {
   uint64_t request_id = 0;
   Key key;
+  std::string value_prefix;
   NodeId origin = kInvalidNode;
   int hops = 0;
 
@@ -29,7 +32,7 @@ struct RetrieveRequest : MessageBody {
     return t;
   }
   size_t SizeBytes() const override {
-    return 24 + static_cast<size_t>(key.length()) / 8;
+    return 24 + static_cast<size_t>(key.length()) / 8 + value_prefix.size();
   }
 };
 

@@ -45,11 +45,12 @@ bool PGridPeer::IsResponsibleFor(const Key& key) const {
   return p.IsPrefixOf(key) || key.IsPrefixOf(p);
 }
 
-std::vector<std::string> PGridPeer::LocalLookup(const Key& key) const {
+std::vector<std::string> PGridPeer::LocalLookup(
+    const Key& key, std::string_view value_prefix) const {
   std::vector<std::string> out;
   for (auto it = storage_.lower_bound(key); it != storage_.end(); ++it) {
     if (!key.IsPrefixOf(it->first)) break;
-    out.push_back(it->second);
+    if (it->second.starts_with(value_prefix)) out.push_back(it->second);
   }
   return out;
 }
@@ -113,7 +114,8 @@ void PGridPeer::ReplicateToSiblings(UpdateOp op, const Key& key,
 
 // --- Client-side operations -------------------------------------------------
 
-void PGridPeer::Retrieve(const Key& key, RetrieveCallback cb) {
+void PGridPeer::Retrieve(const Key& key, RetrieveCallback cb,
+                         std::string_view value_prefix) {
   ++counters_.retrieves_issued;
   if (IsResponsibleFor(key)) {
     ++counters_.local_answers;
@@ -122,7 +124,7 @@ void PGridPeer::Retrieve(const Key& key, RetrieveCallback cb) {
                    "local", 1.0);
     }
     LookupResult res;
-    res.values = LocalLookup(key);
+    res.values = LocalLookup(key, value_prefix);
     res.responder = id_;
     cb(std::move(res));
     return;
@@ -132,6 +134,7 @@ void PGridPeer::Retrieve(const Key& key, RetrieveCallback cb) {
   p.kind = Pending::Kind::kRetrieve;
   p.retrieve_cb = std::move(cb);
   p.key = key;
+  p.value = value_prefix;
   p.started = sim_->Now();
   p.span = StartOpSpan("op.retrieve");
   pending_.emplace(rid, std::move(p));
@@ -165,6 +168,7 @@ void PGridPeer::SendRetrieveAttempt(uint64_t request_id) {
   auto req = std::make_shared<RetrieveRequest>();
   req->request_id = request_id;
   req->key = p.key;
+  req->value_prefix = p.value;
   req->origin = id_;
   req->hops = 1;
   req->trace_ctx = p.span;  // every attempt's hops parent under the op
@@ -526,7 +530,7 @@ void PGridPeer::HandleRetrieveRequest(NodeId from, const RetrieveRequest& req) {
     auto resp = std::make_shared<RetrieveResponse>();
     resp->request_id = req.request_id;
     resp->key = req.key;
-    resp->values = LocalLookup(req.key);
+    resp->values = LocalLookup(req.key, req.value_prefix);
     resp->hops = req.hops;
     resp->responder = id_;
     network_->Send(id_, req.origin, resp);

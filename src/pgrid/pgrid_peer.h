@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -99,9 +100,15 @@ class PGridPeer : public NetworkNode {
 
   // --- Overlay primitives -------------------------------------------------
 
-  /// Looks up all values stored under `key` (or, for a shorter key, under any
-  /// stored key it prefixes). Responsible-locally lookups answer immediately.
-  void Retrieve(const Key& key, RetrieveCallback cb);
+  /// Looks up the values stored under `key` (or, for a shorter key, under
+  /// any stored key it prefixes) that start with `value_prefix`, in storage
+  /// order; an empty prefix returns every value. The responder filters, so
+  /// only matching values travel back: upper layers that keep several record
+  /// kinds under one key fetch one kind without shipping the others. Every
+  /// re-attempt re-sends the prefix. Responsible-locally lookups answer
+  /// immediately.
+  void Retrieve(const Key& key, RetrieveCallback cb,
+                std::string_view value_prefix = {});
 
   /// Inserts `value` under `key` at the responsible peer (and its replicas).
   /// Idempotent: an identical (key, value) pair is stored once.
@@ -231,6 +238,8 @@ class PGridPeer : public NetworkNode {
     RetrieveCallback retrieve_cb;
     UpdateCallback update_cb;
     Key key;
+    /// Update: the value written or removed. Retrieve: the value prefix
+    /// every attempt's request carries.
     std::string value;
     UpdateOp op = UpdateOp::kInsert;
     int attempts = 0;
@@ -247,8 +256,10 @@ class PGridPeer : public NetworkNode {
 
   uint64_t NextRequestId() { return (uint64_t(id_) << 32) | next_seq_++; }
 
-  /// Collects stored values for `key` (exact or prefix semantics).
-  std::vector<std::string> LocalLookup(const Key& key) const;
+  /// Collects stored values for `key` (exact or prefix semantics) that
+  /// start with `value_prefix`, in storage order.
+  std::vector<std::string> LocalLookup(const Key& key,
+                                       std::string_view value_prefix) const;
   void ApplyLocal(UpdateOp op, const Key& key, const std::string& value);
   void ReplicateToSiblings(UpdateOp op, const Key& key,
                            const std::string& value);

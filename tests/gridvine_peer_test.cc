@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "common/hash.h"
 #include "gridvine/gridvine_network.h"
@@ -163,6 +165,94 @@ TEST_F(GridVineTest, FetchSchemaRoundTrip) {
   EXPECT_EQ(schema->attributes(),
             std::vector<std::string>{"SystematicName"});
   EXPECT_TRUE(net_.FetchSchema(13, "NOPE").status().IsNotFound());
+}
+
+// Under the order-preserving hash every "EMBL#..." predicate hashes to the
+// key of the schema name "EMBL", so the schema's records share their key with
+// its predicate-indexed triples. A record fetch must ship only its own record
+// kind: a remote fetch's answer stays the same size however many triples
+// pile onto the key, and every fetch returns what it returned before.
+TEST_F(GridVineTest, RecordFetchesShipOnlyTheirRecordKind) {
+  const auto& h = net_.peer(0)->hasher();
+  const Key schema_key = h("EMBL");
+  ASSERT_EQ(h("EMBL#Organism"), schema_key);
+  size_t issuer = 0;
+  while (issuer < net_.size() &&
+         net_.peer(issuer)->overlay()->IsResponsibleFor(schema_key)) {
+    ++issuer;
+  }
+  ASSERT_LT(issuer, net_.size());
+  ASSERT_TRUE(net_.InsertMapping(6, EmblToEmp()).ok());
+  ASSERT_TRUE(net_.PublishDegree(0, "bio", "EMBL", 1, 2).ok());
+
+  // pgrid.retrieve_resp bytes one synchronous call produces.
+  auto resp_bytes = [&](const std::function<void()>& call) {
+    const NetworkStats& stats = net_.network()->stats();
+    const uint64_t before = stats.BytesForType("pgrid.retrieve_resp");
+    call();
+    return stats.BytesForType("pgrid.retrieve_resp") - before;
+  };
+  auto schema_bytes = [&] {
+    return resp_bytes([&] { net_.FetchSchema(issuer, "EMBL"); });
+  };
+  auto mapping_bytes = [&] {
+    return resp_bytes([&] { net_.FetchMappingsFor(issuer, "EMBL"); });
+  };
+  // What every fetch returns, as one comparable string.
+  auto answers = [&] {
+    auto schema = net_.FetchSchema(issuer, "EMBL");
+    std::string out =
+        schema.ok() ? schema->Serialize() : schema.status().ToString();
+    auto mappings = net_.FetchMappingsFor(issuer, "EMBL");
+    if (!mappings.ok()) return out + ";" + mappings.status().ToString();
+    for (const auto& m : *mappings) out += ";" + m.Serialize();
+    auto degrees = net_.FetchDomainDegrees(issuer, "bio");
+    if (!degrees.ok()) return out + ";" + degrees.status().ToString();
+    for (const auto& d : *degrees) {
+      out += ";" + d.schema + "/" + std::to_string(d.in_degree) + "/" +
+             std::to_string(d.out_degree);
+    }
+    return out;
+  };
+
+  const uint64_t schema_before = schema_bytes();
+  const uint64_t mapping_before = mapping_bytes();
+  const std::string answers_before = answers();
+  EXPECT_GT(schema_before, 0u);  // answered remotely
+  EXPECT_EQ(answers_before,
+            Schema("EMBL", "bio", {"Organism", "Length"}).Serialize() + ";" +
+                EmblToEmp().Serialize() + ";EMBL/1/2");
+
+  std::vector<Triple> batch;
+  for (int i = 0; i < 120; ++i) {
+    batch.push_back(T("embl:X" + std::to_string(i), "EMBL#Organism",
+                      "organism " + std::to_string(i)));
+  }
+  ASSERT_TRUE(net_.InsertTriples(1, batch).ok());
+  for (size_t i = 0; i < net_.size(); ++i) {
+    if (!net_.peer(i)->overlay()->IsResponsibleFor(schema_key)) continue;
+    EXPECT_GE(net_.peer(i)->overlay()->storage().count(schema_key), 120u);
+  }
+
+  EXPECT_EQ(schema_bytes(), schema_before);
+  EXPECT_EQ(mapping_bytes(), mapping_before);
+  EXPECT_EQ(answers(), answers_before);
+
+  // UpsertSchema still finds and replaces the stale definition among the
+  // co-located triples.
+  Schema evolved("EMBL", "bio", {"Organism", "Length", "Taxon"});
+  ASSERT_TRUE(net_.UpsertSchema(issuer, evolved).ok());
+  auto fetched = net_.FetchSchema(issuer, "EMBL");
+  ASSERT_TRUE(fetched.ok()) << fetched.status();
+  EXPECT_EQ(fetched->Serialize(), evolved.Serialize());
+  for (size_t i = 0; i < net_.size(); ++i) {
+    if (!net_.peer(i)->overlay()->IsResponsibleFor(schema_key)) continue;
+    size_t schema_records = 0;
+    for (const auto& [key, value] : net_.peer(i)->overlay()->storage()) {
+      if (key == schema_key && value.starts_with("schema|")) ++schema_records;
+    }
+    EXPECT_EQ(schema_records, 1u);
+  }
 }
 
 TEST_F(GridVineTest, MappingStoredAtSourceKeySpace) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "pgrid/pgrid_builder.h"
@@ -113,6 +115,100 @@ TEST_F(PGridPeerTest, PrefixRetrieveCollectsSubtree) {
     got = true;
   });
   EXPECT_TRUE(got);
+}
+
+// --- Value-prefix retrieves ---------------------------------------------------
+
+/// Retrieves `key` with `value_prefix` from `from`, running the simulator
+/// until the answer arrives; returns the values (or the error status).
+Result<std::vector<std::string>> RetrieveWithPrefix(Simulator* sim,
+                                                    PGridPeer* from,
+                                                    const Key& key,
+                                                    std::string_view prefix) {
+  Result<std::vector<std::string>> out = Status::Internal("no answer");
+  from->Retrieve(
+      key,
+      [&out](Result<PGridPeer::LookupResult> r) {
+        if (r.ok()) {
+          out = std::move(r->values);
+        } else {
+          out = r.status();
+        }
+      },
+      prefix);
+  sim->Run();
+  return out;
+}
+
+TEST_F(PGridPeerTest, ValuePrefixRetrieveFiltersInStorageOrder) {
+  // Insertion order is storage order within one key; the filter must keep
+  // it (not sort the survivors).
+  for (const char* v : {"schema|B", "EMBL#x triple", "schema|A", "conn|y"}) {
+    peer(3)->InsertLocal(K("1101"), v);
+  }
+  const std::vector<std::string> want = {"schema|B", "schema|A"};
+  // Local-answer path: peer 3 is responsible.
+  auto local = RetrieveWithPrefix(&sim_, peer(3), K("1101"), "schema|");
+  ASSERT_TRUE(local.ok()) << local.status();
+  EXPECT_EQ(*local, want);
+  // Remote path: the responder filters before answering.
+  auto remote = RetrieveWithPrefix(&sim_, peer(0), K("1101"), "schema|");
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  EXPECT_EQ(*remote, want);
+  EXPECT_EQ(peer(0)->counters().local_answers, 0u);
+}
+
+TEST_F(PGridPeerTest, ValuePrefixSurvivesTimedOutFirstAttempt) {
+  peer(3)->InsertLocal(K("1101"), "t1");
+  peer(3)->InsertLocal(K("1101"), "mapping|m");
+  peer(3)->InsertLocal(K("1101"), "t2");
+  // Every route to "11" ends at peer 3; while it is down the first attempt
+  // is lost. It comes back before the ~2 s timeout fires the re-attempt.
+  net_.SetAlive(peer(3)->id(), false);
+  sim_.Schedule(1.0, [this] { net_.SetAlive(peer(3)->id(), true); });
+  auto got = RetrieveWithPrefix(&sim_, peer(0), K("1101"), "mapping|");
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(peer(0)->counters().retries, 1u);
+  EXPECT_EQ(*got, std::vector<std::string>{"mapping|m"});
+}
+
+TEST_F(PGridPeerTest, EmptyValuePrefixReturnsEveryValue) {
+  peer(3)->InsertLocal(K("1101"), "b");
+  peer(3)->InsertLocal(K("1101"), "a");
+  auto got = RetrieveWithPrefix(&sim_, peer(0), K("1101"), "");
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, (std::vector<std::string>{"b", "a"}));
+}
+
+TEST_F(PGridPeerTest, ValuePrefixLongerThanEveryValueMatchesNothing) {
+  peer(3)->InsertLocal(K("1101"), "sch");
+  peer(3)->InsertLocal(K("1101"), "schema");
+  auto got = RetrieveWithPrefix(&sim_, peer(0), K("1101"), "schema|longer");
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(got->empty());
+}
+
+TEST_F(PGridPeerTest, ValuePrefixCombinesWithSubtreeKey) {
+  peer(1)->InsertLocal(K("0100"), "schema|a");
+  peer(1)->InsertLocal(K("0100"), "t");
+  peer(1)->InsertLocal(K("0101"), "schema|b");
+  peer(1)->InsertLocal(K("0111"), "schema|c");  // outside subtree 010
+  auto local = RetrieveWithPrefix(&sim_, peer(1), K("010"), "schema|");
+  auto remote = RetrieveWithPrefix(&sim_, peer(2), K("010"), "schema|");
+  const std::vector<std::string> want = {"schema|a", "schema|b"};
+  ASSERT_TRUE(local.ok()) << local.status();
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  EXPECT_EQ(*local, want);
+  EXPECT_EQ(*remote, want);
+}
+
+TEST(RetrieveRequestTest, SizeBytesCountsValuePrefix) {
+  RetrieveRequest req;
+  req.key = K("1010101010101010");
+  const size_t bare = req.SizeBytes();
+  EXPECT_EQ(bare, 24u + 2u);
+  req.value_prefix = "mapping|";
+  EXPECT_EQ(req.SizeBytes(), bare + 8u);
 }
 
 TEST_F(PGridPeerTest, InsertIsIdempotent) {

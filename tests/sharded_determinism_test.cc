@@ -41,30 +41,41 @@ Key BitsKey(Rng* rng, int len) {
   return Key::FromBits(bits).value();
 }
 
-OverlayOutcome RunOverlay(uint64_t seed, uint32_t shards) {
+/// A sharded engine with WAN latency: positive MinDelay (the lookahead)
+/// plus a log-normal tail that burns per-node rng draws on every send.
+ShardedNetwork::Options WanEngineOptions(uint64_t seed, uint32_t shards,
+                                         double loss) {
   ShardedNetwork::Options so;
   so.shards = shards;
   so.seed = seed;
-  so.loss_probability = 0.01;
-  // WAN latency: positive MinDelay (the lookahead) plus a log-normal tail
-  // that burns per-node rng draws on every send.
+  so.loss_probability = loss;
   so.latency = std::make_unique<WanLatency>(0.005, -3.5, 0.8, 0.0, 0.0);
-  ShardedNetwork engine(std::move(so));
+  return so;
+}
 
-  const size_t kPeers = 24;
+/// `n` overlay peers on `engine`, seeded from `seed` and wired balanced.
+std::vector<std::unique_ptr<PGridPeer>> BuildOverlay(ShardedNetwork* engine,
+                                                     uint64_t seed, size_t n) {
   Rng rng(seed);
   PGridPeer::Options popts;
   popts.key_depth = 10;
   std::vector<std::unique_ptr<PGridPeer>> peers;
-  for (size_t i = 0; i < kPeers; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     peers.push_back(std::make_unique<PGridPeer>(
-        engine.SimForNext(), engine.LaneForNext(),
+        engine->SimForNext(), engine->LaneForNext(),
         Mt64Head<1>(rng.engine()())[0], popts));
   }
   std::vector<PGridPeer*> raw;
   for (auto& p : peers) raw.push_back(p.get());
   Rng wire(seed + 99);
   PGridBuilder::BuildBalanced(raw, &wire, 2);
+  return peers;
+}
+
+OverlayOutcome RunOverlay(uint64_t seed, uint32_t shards) {
+  ShardedNetwork engine(WanEngineOptions(seed, shards, /*loss=*/0.01));
+  const size_t kPeers = 24;
+  auto peers = BuildOverlay(&engine, seed, kPeers);
 
   const int kOps = 48;
   Rng key_rng(seed + 7);
@@ -129,6 +140,70 @@ TEST(ShardedDeterminismTest, OverlayRepeatableAtFourShards) {
 
 TEST(ShardedDeterminismTest, DifferentSeedsDiverge) {
   EXPECT_NE(RunOverlay(1, 4), RunOverlay(2, 4));
+}
+
+// --- A value-prefix retrieve across shards ---------------------------------
+
+struct PrefixOutcome {
+  std::vector<std::string> values;
+  NodeId issuer = kInvalidNode;
+  NodeId responder = kInvalidNode;
+  SimTime final_time = 0;
+
+  friend bool operator==(const PrefixOutcome&,
+                         const PrefixOutcome&) = default;
+};
+
+/// One value-prefix retrieve; `*cross_shard` receives the messages it sent
+/// through the cross-shard mailboxes.
+PrefixOutcome RunPrefixRetrieve(uint32_t shards, uint64_t* cross_shard) {
+  ShardedNetwork engine(WanEngineOptions(4242, shards, /*loss=*/0.0));
+  auto peers = BuildOverlay(&engine, 4242, 24);
+  const Key key = Key::FromBits("1011001").value();
+  // Every replica responsible for the key holds the same mixed values, so
+  // the filtered answer does not depend on which one responds.
+  PrefixOutcome out;
+  for (auto& p : peers) {
+    if (!p->IsResponsibleFor(key)) {
+      if (out.issuer == kInvalidNode) out.issuer = p->id();
+      continue;
+    }
+    for (const char* v : {"schema|B", "B#x triple", "schema|A", "mapping|m"}) {
+      p->InsertLocal(key, v);
+    }
+  }
+  const NodeId issuer = out.issuer;
+  const uint64_t before = engine.cross_shard_messages();
+  engine.ScheduleForNode(issuer, 0.01, [&] {
+    peers[issuer]->Retrieve(
+        key,
+        [&out](Result<PGridPeer::LookupResult> r) {
+          if (!r.ok()) return;
+          out.values = r->values;
+          out.responder = r->responder;
+        },
+        "schema|");
+  });
+  engine.RunUntilIdle();
+  *cross_shard = engine.cross_shard_messages() - before;
+  out.final_time = engine.Now();
+  return out;
+}
+
+TEST(ShardedDeterminismTest, PrefixRetrieveCrossesShardsBitIdentical) {
+  uint64_t cross1 = 0, cross2 = 0, cross4 = 0;
+  PrefixOutcome one = RunPrefixRetrieve(1, &cross1);
+  PrefixOutcome two = RunPrefixRetrieve(2, &cross2);
+  PrefixOutcome four = RunPrefixRetrieve(4, &cross4);
+  EXPECT_EQ(one.values, (std::vector<std::string>{"schema|B", "schema|A"}));
+  EXPECT_EQ(one, two);
+  EXPECT_EQ(one, four);
+  // Issuer and responder differ in parity, so they sit on different shards
+  // at 2 and 4 shards: the request, prefix included, crossed a mailbox.
+  EXPECT_NE(one.issuer % 2, one.responder % 2);
+  EXPECT_EQ(cross1, 0u);
+  EXPECT_GT(cross2, 0u);
+  EXPECT_GT(cross4, 0u);
 }
 
 // --- Full mediation stack through GridVineNetwork --------------------------
