@@ -13,7 +13,10 @@
 // The document matches google-benchmark's envelope — {"context": ...,
 // "benchmarks": [...]} — so scripts/run_bench.sh can treat every bench
 // binary uniformly. Benches record one entry per result row via Add().
+// Every value is written in its shortest round-trip form, so a count reads
+// back exactly (1029001, not 1.029e+06).
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
@@ -86,6 +89,13 @@ class BenchJson {
     }
   }
 
+  /// The shortest text that parses back to exactly `v`.
+  static void AppendNumber(std::ostringstream& os, double v) {
+    char buf[32];
+    const std::to_chars_result res = std::to_chars(buf, buf + sizeof(buf), v);
+    os.write(buf, res.ptr - buf);
+  }
+
   std::string Render() const {
     std::ostringstream os;
     os << "{\n  \"context\": {\"executable\": \"";
@@ -97,7 +107,8 @@ class BenchJson {
       AppendEscaped(os, row.name);
       os << "\", \"run_type\": \"iteration\"";
       for (const auto& [k, v] : row.metrics) {
-        os << ", \"" << k << "\": " << v;
+        os << ", \"" << k << "\": ";
+        AppendNumber(os, v);
       }
       os << "}" << (i + 1 < rows_.size() ? "," : "") << "\n";
     }

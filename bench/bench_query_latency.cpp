@@ -15,7 +15,7 @@
 //   $ GV_QUERIES=2000 ./bench/bench_query_latency   # quicker run
 
 // A second section (E1b) replays the same workload on a 100k-peer
-// deployment driven by the sharded engine — the scale target of the
+// deployment driven by the content-keyed engine — the scale target of the
 // compact-state work — and records latency, per-peer memory and event
 // throughput in an extra JSON row.
 
@@ -207,22 +207,19 @@ int main(int argc, char** argv) {
   cp_agg.AppendShares(&e1_row);
   json.Add("latency", std::move(e1_row));
 
-  // ---- E1b: the same workload at 100k peers on the sharded engine ----------
+  // ---- E1b: the same workload at 100k peers on the keyed engine ------------
   //
-  // Tracing works in sharded mode too: every shard records into a private
-  // ring and net.tracer() is the merged causal view, so this section gets
-  // the same per-query hop counts and critical-path attribution as E1.
+  // Traced like E1, so this section gets the same per-query hop counts and
+  // critical-path attribution.
   const bool quick = std::getenv("GV_BENCH_QUICK") != nullptr;
   const size_t kScalePeers = EnvOr("GV_SCALE_PEERS", quick ? 20000 : 100000);
   const size_t kScaleQueries = EnvOr("GV_SCALE_QUERIES", quick ? 100 : 2000);
-  const uint32_t kShards = 4;
 
   GridVineNetwork::Options sopt = options;
   sopt.num_peers = kScalePeers;
-  sopt.shards = kShards;
-  std::printf("\nE1b: full query path at scale (sharded engine)\n");
-  std::printf("  peers=%zu shards=%u queries=%zu\n", kScalePeers, kShards,
-              kScaleQueries);
+  sopt.force_sharded = true;
+  std::printf("\nE1b: full query path at scale (keyed engine)\n");
+  std::printf("  peers=%zu queries=%zu\n", kScalePeers, kScaleQueries);
 
   const auto t0 = std::chrono::steady_clock::now();
   GridVineNetwork snet(sopt);
@@ -267,7 +264,7 @@ int main(int argc, char** argv) {
   const double events_per_sec = run_s > 0 ? double(events) / run_s : 0;
   const double bytes_per_peer =
       double(snet.MemoryFootprint()) / double(kScalePeers);
-  const NetworkStats sstats = snet.engine()->AggregateStats();
+  const NetworkStats& sstats = snet.network()->stats();
 
   std::printf("  answered within 1 s: %.0f%%, within 5 s: %.0f%%\n",
               Fraction(slat, 1.0) * 100, Fraction(slat, 5.0) * 100);
@@ -282,7 +279,6 @@ int main(int argc, char** argv) {
   scp_agg.Print();
   std::vector<std::pair<std::string, double>> e1b_row = {
       {"peers", double(kScalePeers)},
-      {"shards", double(kShards)},
       {"within_1s", Fraction(slat, 1.0)},
       {"within_5s", Fraction(slat, 5.0)},
       {"p50_s", Percentile(slat, 0.50)},
@@ -299,9 +295,7 @@ int main(int argc, char** argv) {
       {"hops_p50", CountPercentile(shops, 0.50)},
       {"hops_p90", CountPercentile(shops, 0.90)}};
   scp_agg.AppendShares(&e1b_row);
-  json.Add("scale_" + std::to_string(kScalePeers) + "/shards_" +
-               std::to_string(kShards),
-           std::move(e1b_row));
+  json.Add("scale_" + std::to_string(kScalePeers), std::move(e1b_row));
   json.Finish();
   return 0;
 }

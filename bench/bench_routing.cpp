@@ -9,10 +9,10 @@
 // (storage-adaptive) trie with heavily skewed keys. Both must scale
 // logarithmically.
 //
-// A second, scale-focused sweep runs 100k and 1M peers on the sharded
+// A second, scale-focused sweep runs 100k and 1M peers on the content-keyed
 // engine and records per-peer memory and event throughput
 // (bytes_per_peer / events_per_sec in the JSON rows) — the numbers the
-// compact-state + sharded-engine work is accountable to.
+// compact-state work is accountable to.
 //
 //   $ ./bench/bench_routing
 
@@ -131,7 +131,6 @@ HopStats SummarizeHops(const std::vector<int>& raw) {
 
 struct ScaleResult {
   HopStats hops;
-  std::vector<int> raw_hops;  // per-op; for cross-shard-count comparison
   size_t events = 0;
   double build_s = 0;
   double run_s = 0;
@@ -144,13 +143,13 @@ double Seconds(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// One scale point on the sharded engine. The balanced trie is materialized
+/// One scale point on the keyed engine. The balanced trie is materialized
 /// analytically — paths exactly as PGridBuilder::BuildBalanced assigns them
 /// (peer i gets FromUint(i % leaves, depth)), but refs sampled by index math
 /// per level instead of WireRouting's per-peer prefix scans, which are
 /// O(n^2) at level 0 and already intractable at 100k peers.
-ScaleResult RunScalePoint(size_t n, uint32_t shards, size_t lookups,
-                          uint64_t seed, int key_depth) {
+ScaleResult RunScalePoint(size_t n, size_t lookups, uint64_t seed,
+                          int key_depth) {
   auto t0 = std::chrono::steady_clock::now();
 
   int depth = 0;
@@ -158,7 +157,6 @@ ScaleResult RunScalePoint(size_t n, uint32_t shards, size_t lookups,
   const uint64_t leaves = uint64_t(1) << depth;
 
   ShardedNetwork::Options so;
-  so.shards = shards;
   so.seed = seed;
   so.latency = std::make_unique<ConstantLatency>(0.01);
   ShardedNetwork engine(std::move(so));
@@ -171,7 +169,7 @@ ScaleResult RunScalePoint(size_t n, uint32_t shards, size_t lookups,
   peers.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     peers.push_back(std::make_unique<PGridPeer>(
-        engine.SimForNext(), engine.LaneForNext(),
+        engine.sim(), &engine,
         Mt64Head<1>(seed * 131 + i)[0], opts));
     peers.back()->SetPath(Key::FromUint(i % leaves, depth));
   }
@@ -221,8 +219,8 @@ ScaleResult RunScalePoint(size_t n, uint32_t shards, size_t lookups,
 
   auto t1 = std::chrono::steady_clock::now();
 
-  // All lookups scheduled up front (staggered so the engine has concurrent
-  // work in every epoch), then one RunUntilIdle — the measured phase.
+  // All lookups scheduled up front (staggered, so many are in flight at
+  // once), then one RunUntilIdle — the measured phase.
   Rng lookup_rng(seed + 7);
   std::vector<int> hop_slots(lookups, -1);
   for (size_t i = 0; i < lookups; ++i) {
@@ -239,7 +237,6 @@ ScaleResult RunScalePoint(size_t n, uint32_t shards, size_t lookups,
 
   ScaleResult res;
   res.hops = SummarizeHops(hop_slots);
-  res.raw_hops = std::move(hop_slots);
   res.events = engine.events_executed();
   res.build_s = Seconds(t0, t1);
   res.run_s = Seconds(t1, t2);
@@ -307,12 +304,10 @@ int main(int argc, char** argv) {
                 ha.p99, ha.max);
     std::string row = "peers_" + std::to_string(n);
     json.Add(row + "/balanced", {{"peers", double(n)},
-                                 {"shards", 1},
                                  {"mean_hops", hb.mean},
                                  {"p99_hops", hb.p99},
                                  {"max_hops", double(hb.max)}});
     json.Add(row + "/adaptive", {{"peers", double(n)},
-                                 {"shards", 1},
                                  {"mean_hops", ha.mean},
                                  {"p99_hops", ha.p99},
                                  {"max_hops", double(ha.max)}});
@@ -320,50 +315,34 @@ int main(int argc, char** argv) {
   std::printf("\n  (hops counted on the request path; 0 = issuer was "
               "responsible)\n");
 
-  // ---- Scale sweep: 100k / 1M peers on the sharded engine ------------------
+  // ---- Scale sweep: 100k / 1M peers on the keyed engine -------------------
   //
   // Balanced trie only (the adaptive builder's recursive split also works at
   // this scale, but hop behaviour is the same O(log N) story). Quick mode
-  // runs the 100k point as a CI smoke; the full run adds a shards=1 twin at
-  // 100k (outcome must match shards=4 bit-for-bit) and the 1M point.
+  // runs the 100k point as a CI smoke; the full run adds the 1M point.
   struct ScalePoint {
     size_t n;
-    uint32_t shards;
     size_t lookups;
   };
   std::vector<ScalePoint> points;
   if (quick) {
-    points.push_back({100000, 4, 200});
+    points.push_back({100000, 200});
   } else {
-    points.push_back({100000, 1, 2000});
-    points.push_back({100000, 4, 2000});
-    points.push_back({1000000, 4, 1000});
+    points.push_back({100000, 2000});
+    points.push_back({1000000, 1000});
   }
 
-  std::printf("\nE2b: scale sweep on the sharded engine\n\n");
-  std::printf("  %-9s %6s | %7s %7s %7s | %11s %12s | %8s %8s\n", "peers",
-              "shards", "mean", "p99", "max", "bytes/peer", "events/sec",
+  std::printf("\nE2b: scale sweep on the keyed engine\n\n");
+  std::printf("  %-9s | %7s %7s %7s | %11s %8s %12s | %8s %8s\n", "peers",
+              "mean", "p99", "max", "bytes/peer", "events", "events/sec",
               "build_s", "run_s");
-  std::vector<int> first_100k_hops;
   for (const ScalePoint& pt : points) {
-    ScaleResult r = RunScalePoint(pt.n, pt.shards, pt.lookups, /*seed=*/5,
-                                  kKeyDepth);
-    std::printf("  %-9zu %6u | %7.2f %7.1f %7d | %11.0f %12.0f | %8.1f %8.1f\n",
-                pt.n, pt.shards, r.hops.mean, r.hops.p99, r.hops.max,
-                r.bytes_per_peer, r.events_per_sec, r.build_s, r.run_s);
-    if (pt.n == 100000) {
-      if (first_100k_hops.empty()) {
-        first_100k_hops = r.raw_hops;
-      } else {
-        std::printf("    100k outcome across shard counts: %s\n",
-                    r.raw_hops == first_100k_hops ? "bit-identical"
-                                                  : "DIVERGED");
-      }
-    }
-    json.Add("scale_" + std::to_string(pt.n) + "/shards_" +
-                 std::to_string(pt.shards),
+    ScaleResult r = RunScalePoint(pt.n, pt.lookups, /*seed=*/5, kKeyDepth);
+    std::printf("  %-9zu | %7.3f %7.1f %7d | %11.0f %8zu %12.0f | %8.1f %8.3f\n",
+                pt.n, r.hops.mean, r.hops.p99, r.hops.max, r.bytes_per_peer,
+                r.events, r.events_per_sec, r.build_s, r.run_s);
+    json.Add("scale_" + std::to_string(pt.n),
              {{"peers", double(pt.n)},
-              {"shards", double(pt.shards)},
               {"bytes_per_peer", r.bytes_per_peer},
               {"events_per_sec", r.events_per_sec},
               {"events", double(r.events)},

@@ -51,8 +51,6 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 // --- Workload messages -------------------------------------------------------
 
 struct RelayMsg : MessageBody {
-  explicit RelayMsg(int r) : remaining(r) {}
-  int remaining;
   MsgType TypeTag() const override {
     static const MsgType t = MsgType::Intern("bench.relay");
     return t;
@@ -107,8 +105,34 @@ double TimerEventsPerSec(size_t fanout, size_t total) {
 /// costs only its ring writes.
 enum class TraceMode { kNoTracer, kDisabled, kEnabled };
 
-/// Delivery workload: `chains` concurrent relay chains around a `peers`-node
-/// ring, each `hops` messages long. Returns messages/sec (wall clock).
+/// Delivery workload on `net`: `chains` concurrent relay chains around a
+/// `peers`-node ring, each `hops` messages long, each started with a
+/// `make_body()` body; `run()` drains the engine. Returns messages/sec (wall
+/// clock).
+template <typename MakeBody, typename Run>
+double RelayOn(Network* net, size_t peers, size_t chains, int hops,
+               MakeBody make_body, Run run) {
+  size_t budget = chains * size_t(hops - 1);
+  std::vector<RelayNode> nodes(peers);
+  for (size_t i = 0; i < peers; ++i) {
+    nodes[i].self = net->AddNode(&nodes[i]);
+    nodes[i].net = net;
+    nodes[i].budget = &budget;
+  }
+  for (size_t i = 0; i < peers; ++i) nodes[i].next = NodeId((i + 1) % peers);
+  auto t0 = std::chrono::steady_clock::now();
+  for (size_t c = 0; c < chains; ++c) {
+    net->Send(NodeId(c % peers), NodeId((c + 1) % peers), make_body());
+  }
+  run();
+  return double(net->stats().messages_delivered) / SecondsSince(t0);
+}
+
+std::shared_ptr<const MessageBody> PlainBody() {
+  return std::make_shared<RelayMsg>();
+}
+
+/// The relay on the classic engine, with the tracer in state `tm`.
 double RelayMessagesPerSec(size_t peers, size_t chains, int hops,
                            TraceMode tm = TraceMode::kNoTracer) {
   Simulator sim;
@@ -116,22 +140,7 @@ double RelayMessagesPerSec(size_t peers, size_t chains, int hops,
   Tracer tracer;
   if (tm != TraceMode::kNoTracer) net.SetTracer(&tracer);
   if (tm == TraceMode::kEnabled) tracer.Enable(1 << 16);
-  size_t budget = chains * size_t(hops - 1);
-  std::vector<RelayNode> nodes(peers);
-  for (size_t i = 0; i < peers; ++i) {
-    NodeId id = net.AddNode(&nodes[i]);
-    nodes[i].net = &net;
-    nodes[i].self = id;
-    nodes[i].budget = &budget;
-  }
-  for (size_t i = 0; i < peers; ++i) nodes[i].next = NodeId((i + 1) % peers);
-  auto t0 = std::chrono::steady_clock::now();
-  for (size_t c = 0; c < chains; ++c) {
-    net.Send(NodeId(c % peers), NodeId((c + 1) % peers),
-             std::make_shared<RelayMsg>(0));
-  }
-  sim.Run();
-  return double(net.stats().messages_delivered) / SecondsSince(t0);
+  return RelayOn(&net, peers, chains, hops, PlainBody, [&] { sim.Run(); });
 }
 
 /// Routed-envelope relay: the experiments' real traffic shape. Every send
@@ -140,65 +149,26 @@ double RelayMessagesPerSec(size_t peers, size_t chains, int hops,
 double RoutedRelayMessagesPerSec(size_t peers, size_t chains, int hops) {
   Simulator sim;
   Network net(&sim, std::make_unique<ConstantLatency>(0.001), Rng(1));
-  size_t budget = chains * size_t(hops - 1);
-  std::vector<RelayNode> nodes(peers);
-  for (size_t i = 0; i < peers; ++i) {
-    nodes[i].self = net.AddNode(&nodes[i]);
-    nodes[i].net = &net;
-    nodes[i].budget = &budget;
-  }
-  for (size_t i = 0; i < peers; ++i) nodes[i].next = NodeId((i + 1) % peers);
-  auto t0 = std::chrono::steady_clock::now();
-  for (size_t c = 0; c < chains; ++c) {
+  auto routed = []() -> std::shared_ptr<const MessageBody> {
     auto env = std::make_shared<RoutedEnvelope>();
-    env->payload = std::make_shared<RelayMsg>(0);
-    net.Send(NodeId(c % peers), NodeId((c + 1) % peers), std::move(env));
-  }
-  sim.Run();
-  return double(net.stats().messages_delivered) / SecondsSince(t0);
+    env->payload = std::make_shared<RelayMsg>();
+    return env;
+  };
+  return RelayOn(&net, peers, chains, hops, routed, [&] { sim.Run(); });
 }
 
-/// Sharded-engine relay: the same ring shape on the parallel engine, hops
-/// counted down inside the message (worker threads cannot share a budget
-/// counter). Ring neighbours alternate owner shards, so with shards=2 every
-/// hop crosses a shard boundary — the worst case for the lane/mailbox
-/// tracing path. The engine's default state (per-shard rings constructed but
-/// inert) is the untraced baseline; `enabled` turns the rings on.
-struct CountdownRelayNode : NetworkNode {
-  Network* net = nullptr;
-  NodeId self = 0;
-  NodeId next = 0;
-  void OnMessage(NodeId, std::shared_ptr<const MessageBody> body) override {
-    const auto* m = static_cast<const RelayMsg*>(body.get());
-    if (m->remaining > 0)
-      net->Send(self, next, std::make_shared<RelayMsg>(m->remaining - 1));
-  }
-};
-
-double ShardedRelayMessagesPerSec(uint32_t shards, size_t peers, size_t chains,
-                                  int hops, bool enabled) {
+/// The same relay on the content-keyed engine. Its span ring is always
+/// attached, so the untraced baseline is the attached-but-disabled state;
+/// `enabled` turns the ring on.
+double KeyedRelayMessagesPerSec(size_t peers, size_t chains, int hops,
+                                bool enabled) {
   ShardedNetwork::Options so;
-  so.shards = shards;
   so.seed = 1;
   so.latency = std::make_unique<ConstantLatency>(0.001);
   ShardedNetwork engine(std::move(so));
-  if (enabled) engine.EnableTracing(/*capacity_per_shard=*/1 << 16);
-  std::vector<CountdownRelayNode> nodes(peers);
-  for (size_t i = 0; i < peers; ++i) {
-    nodes[i].net = engine.LaneForNext();
-    nodes[i].self = engine.AddNode(&nodes[i]);
-  }
-  for (size_t i = 0; i < peers; ++i) nodes[i].next = NodeId((i + 1) % peers);
-  auto t0 = std::chrono::steady_clock::now();
-  for (size_t c = 0; c < chains; ++c) {
-    NodeId from = NodeId(c % peers);
-    engine.ScheduleForNode(from, 0.0, [&nodes, from, hops] {
-      nodes[from].net->Send(from, nodes[from].next,
-                            std::make_shared<RelayMsg>(hops - 1));
-    });
-  }
-  engine.RunUntilIdle();
-  return double(engine.AggregateStats().messages_delivered) / SecondsSince(t0);
+  if (enabled) engine.tracer()->Enable(1 << 16);
+  return RelayOn(&engine, peers, chains, hops, PlainBody,
+                 [&] { engine.RunUntilIdle(); });
 }
 
 /// Allocations per send+delivery, message bodies pre-built outside the
@@ -216,11 +186,11 @@ double AllocsPerMessage(size_t count) {
   NodeId a = net.AddNode(&sink);
   NodeId b = net.AddNode(&sink);
   for (size_t i = 0; i < count; ++i)
-    net.Send(a, b, std::make_shared<RelayMsg>(0));  // warm-up
+    net.Send(a, b, std::make_shared<RelayMsg>());  // warm-up
   sim.Run();
   std::vector<std::shared_ptr<const MessageBody>> bodies;
   for (size_t i = 0; i < count; ++i)
-    bodies.push_back(std::make_shared<RelayMsg>(0));
+    bodies.push_back(std::make_shared<RelayMsg>());
   size_t before = g_alloc_count;
   for (auto& body : bodies) net.Send(a, b, std::move(body));
   sim.Run();
@@ -269,17 +239,19 @@ int main(int argc, char** argv) {
 
   // Tracing overhead on the relay hot path. run_bench.sh gates the disabled
   // overhead at 3% on full runs: an attached-but-disabled tracer must be one
-  // dead branch per send, never a tax on untraced runs. The three states get
+  // dead branch per send, never a tax on untraced runs. The states get
   // their own interleaved baseline — comparing against `messages` (measured
   // much earlier, cold) would bias the ratio.
-  // Paired repetitions: each rep measures the three states back-to-back and
-  // contributes one overhead ratio, and the gate reads the median ratio —
-  // machine jitter spanning adjacent windows cancels out of a ratio, and the
-  // median sheds the reps where it did not.
+  // Paired repetitions: each rep measures every state back-to-back and
+  // contributes one ratio per comparison, and the rows report the median
+  // ratio — machine jitter spanning adjacent windows cancels out of a ratio,
+  // and the median sheds the reps where it did not. The keyed engine runs
+  // the same relay at the same hop count, so its untraced rate compares
+  // directly with the classic one.
   const int kOverheadHops = quick ? 100 : 4000;
   const int kOverheadReps = 5;
-  double tr_off = 0, tr_dis = 0, tr_en = 0;
-  std::vector<double> dis_ratio, en_ratio;
+  double tr_off = 0, tr_dis = 0, tr_en = 0, keyed_off = 0, keyed_en = 0;
+  std::vector<double> dis_ratio, en_ratio, keyed_en_ratio, keyed_vs_classic;
   for (int i = 0; i < kOverheadReps; ++i) {
     double off = RelayMessagesPerSec(kRelayPeers, kRelayChains, kOverheadHops,
                                      TraceMode::kNoTracer);
@@ -287,41 +259,34 @@ int main(int argc, char** argv) {
                                      TraceMode::kDisabled);
     double en = RelayMessagesPerSec(kRelayPeers, kRelayChains, kOverheadHops,
                                     TraceMode::kEnabled);
+    double k_off = KeyedRelayMessagesPerSec(kRelayPeers, kRelayChains,
+                                            kOverheadHops, false);
+    double k_en = KeyedRelayMessagesPerSec(kRelayPeers, kRelayChains,
+                                           kOverheadHops, true);
     tr_off = std::max(tr_off, off);
     tr_dis = std::max(tr_dis, dis);
     tr_en = std::max(tr_en, en);
+    keyed_off = std::max(keyed_off, k_off);
+    keyed_en = std::max(keyed_en, k_en);
     dis_ratio.push_back(off / dis);
     en_ratio.push_back(off / en);
+    keyed_en_ratio.push_back(k_off / k_en);
+    keyed_vs_classic.push_back(off / k_off);
   }
-  auto median = [](std::vector<double> v) {
+  auto median_pct = [](std::vector<double> v) {
     std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
+    return (v[v.size() / 2] - 1.0) * 100.0;
   };
-  double dis_pct = (median(dis_ratio) - 1.0) * 100.0;
-  double en_pct = (median(en_ratio) - 1.0) * 100.0;
+  const double dis_pct = median_pct(dis_ratio);
+  const double en_pct = median_pct(en_ratio);
+  const double keyed_en_pct = median_pct(keyed_en_ratio);
+  const double keyed_slowdown_pct = median_pct(keyed_vs_classic);
   std::printf(
       "\n  tracing overhead (relay): disabled %.1f%%  enabled %.1f%%\n",
       dis_pct, en_pct);
-
-  // Sharded variant: every hop crosses a shard boundary, so the enabled run
-  // pays the cross-shard end-op mailbox on top of the ring writes.
-  const uint32_t kOverheadShards = 2;
-  const int kShardedHops = quick ? 50 : 400;
-  double sh_off = 0, sh_en = 0;
-  std::vector<double> sh_ratio;
-  for (int i = 0; i < kOverheadReps; ++i) {
-    double off = ShardedRelayMessagesPerSec(kOverheadShards, kRelayPeers,
-                                            kRelayChains, kShardedHops, false);
-    double en = ShardedRelayMessagesPerSec(kOverheadShards, kRelayPeers,
-                                           kRelayChains, kShardedHops, true);
-    sh_off = std::max(sh_off, off);
-    sh_en = std::max(sh_en, en);
-    sh_ratio.push_back(off / en);
-  }
-  double sh_pct = (median(sh_ratio) - 1.0) * 100.0;
-  std::printf("  tracing overhead (sharded relay, %u shards): enabled %.1f%%"
-              "  (%.0f -> %.0f msg/s)\n",
-              kOverheadShards, sh_pct, sh_off, sh_en);
+  std::printf("  keyed-engine relay: %.0f msg/s untraced (%+.1f%% time vs "
+              "classic), tracing enabled %.1f%%\n",
+              keyed_off, keyed_slowdown_pct, keyed_en_pct);
 
   json.Add("timer_events", {{"events_per_sec", events}});
   json.Add("relay_delivery", {{"messages_per_sec", messages}});
@@ -333,10 +298,10 @@ int main(int argc, char** argv) {
                                 {"disabled_overhead_pct", dis_pct},
                                 {"enabled_overhead_pct", en_pct}});
   json.Add("tracing_overhead_sharded",
-           {{"shards", double(kOverheadShards)},
-            {"messages_per_sec_untraced", sh_off},
-            {"messages_per_sec_enabled", sh_en},
-            {"enabled_overhead_pct", sh_pct}});
+           {{"messages_per_sec_untraced", keyed_off},
+            {"messages_per_sec_enabled", keyed_en},
+            {"enabled_overhead_pct", keyed_en_pct},
+            {"untraced_vs_classic_pct", keyed_slowdown_pct}});
   json.Finish();
   return 0;
 }

@@ -2,7 +2,7 @@
 #define GRIDVINE_BENCH_SELFORG_SCALE_H_
 
 // Shared driver for the schema-evolution-at-scale experiment: a network of
-// `peers` peers (sharded engine at the larger sizes) self-organizes from
+// `peers` peers (keyed engine at the larger sizes) self-organizes from
 // zero mappings to full interoperability, one schema then evolves mid-run
 // (every renamable attribute moves to a different vocabulary variant), and
 // continued rounds must repair the damage — deprecate the dangling
@@ -72,10 +72,8 @@ inline EvolutionScaleResult RunEvolutionAtScale(size_t peers, uint64_t seed,
   no.seed = seed;
   no.latency = GridVineNetwork::LatencyKind::kConstant;
   no.latency_param = 0.01;
-  // The sharded conservative-parallel engine carries the large sizes; the
-  // outcome is shard-count invariant, so the shard count is purely a speed
-  // knob.
-  no.shards = peers >= 4096 ? 4 : 1;
+  // The content-keyed engine carries the large sizes.
+  no.force_sharded = peers >= 4096;
   no.peer.query_timeout = 10.0;
   GridVineNetwork net(no);
 

@@ -85,7 +85,7 @@ void PrintHelp() {
       "  timeseries [file]                          windowed metrics "
       "history JSON\n"
       "  help | quit\n"
-      "flags: --shards N runs the deployment on the sharded engine\n");
+      "flags: --sharded runs the deployment on the content-keyed engine\n");
 }
 
 }  // namespace
@@ -106,22 +106,16 @@ int main(int argc, char** argv) {
   options.peer.stats.enabled = true;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--shards" && i + 1 < argc) {
-      options.shards = uint32_t(std::max(1, std::atoi(argv[++i])));
+    if (arg == "--sharded") {
+      options.force_sharded = true;
     } else {
-      std::fprintf(stderr, "usage: %s [--shards N]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--sharded]\n", argv[0]);
       return 2;
     }
   }
   GridVineNetwork net(options);
-  if (options.shards > 1) {
-    std::printf(
-        "GridVine shell — %zu simulated peers on %u shards. Type 'help'.\n",
-        net.size(), options.shards);
-  } else {
-    std::printf("GridVine shell — %zu simulated peers. Type 'help'.\n",
-                net.size());
-  }
+  std::printf("GridVine shell — %zu simulated peers%s. Type 'help'.\n",
+              net.size(), options.force_sharded ? " (keyed engine)" : "");
 
   size_t next_peer = 0;
   size_t last_peer = 0;  // most recent issuer — 'plan explain' reads its cache
@@ -258,10 +252,7 @@ int main(int argc, char** argv) {
                   workload.schemas().size(), workload.TotalTriples(),
                   workload.AttributeFor(0, "organism").c_str());
     } else if (cmd == "stats") {
-      // network() is null on the sharded engine; the aggregate view is the
-      // same counters folded across lanes.
-      const NetworkStats s = net.engine() ? net.engine()->AggregateStats()
-                                          : net.network()->stats();
+      const NetworkStats& s = net.network()->stats();
       std::printf("messages sent/delivered/dropped: %llu/%llu/%llu, "
                   "bytes: %llu\n",
                   (unsigned long long)s.messages_sent,

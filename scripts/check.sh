@@ -7,31 +7,11 @@
 #                                 # planner, property, rng-seeding, wiring,
 #                                 # P-Grid peer, GridVine peer,
 #                                 # dispatch-branch, executor, serving, fault,
-#                                 # sharded, trace and selforg tests
-#   $ scripts/check.sh --tsan     # TSan build, runs the sharded-engine tests
+#                                 # event-engine, trace and selforg tests
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo_root"
-
-if [[ "${1:-}" == "--tsan" ]]; then
-  # ThreadSanitizer over everything that spins up the worker pool: the
-  # sharded determinism + chaos suites (real threads at shards 2/4), plus
-  # the single-threaded engine tests for the shared seams they exercise.
-  cmake --preset tsan
-  cmake --build build-tsan -j "$(nproc)" --target sharded_determinism_test \
-    sharded_soak_test simulator_test network_test fault_soak_test
-  export TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1
-  ./build-tsan/tests/sharded_determinism_test
-  ./build-tsan/tests/sharded_soak_test
-  ./build-tsan/tests/simulator_test
-  ./build-tsan/tests/network_test
-  # Continuous self-organization on the sharded engine: real worker threads
-  # under the organizer's fetch/push traffic at shards 2/4.
-  ./build-tsan/tests/fault_soak_test --gtest_filter='SelforgSoakTest.Shard*'
-  echo "tsan run clean"
-  exit 0
-fi
 
 if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-san -S . -DGV_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -39,8 +19,9 @@ if [[ "${1:-}" == "--asan" ]]; then
     planner_test property_test rng_test pgrid_builder_test compact_peer_test \
     pgrid_peer_test gridvine_peer_test dispatch_branch_test executor_test \
     serving_test churn_test retry_policy_test network_test \
-    conjunctive_chaos_test sharded_determinism_test sharded_soak_test \
-    trace_test incremental_assessor_test self_organizer_test embedding_test
+    conjunctive_chaos_test simulator_test sharded_determinism_test \
+    sharded_soak_test trace_test incremental_assessor_test \
+    self_organizer_test embedding_test
   export ASAN_OPTIONS=detect_leaks=1
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   ./build-san/tests/triple_store_test
@@ -71,9 +52,10 @@ if [[ "${1:-}" == "--asan" ]]; then
   ./build-san/tests/retry_policy_test
   ./build-san/tests/network_test
   ./build-san/tests/conjunctive_chaos_test
-  # The sharded delivery path (lanes on the shared transport policy, the
-  # cross-shard mailboxes) and the trace end-op hand-off across the barrier:
-  # TSan checks their races, these runs check object lifetimes.
+  # The event engines: the heap's slot pool and the keyed engine's run loop
+  # (callables moved out before they fire, deliveries that re-enter the
+  # transport, global tasks that schedule), and the span ring.
+  ./build-san/tests/simulator_test
   ./build-san/tests/sharded_determinism_test
   ./build-san/tests/sharded_soak_test
   ./build-san/tests/trace_test

@@ -74,11 +74,11 @@ if [[ "$quick" -eq 1 && -z "$filter" && -x "$build_dir/tests/conjunctive_chaos_t
   echo "== conjunctive_chaos_test (executor chaos smoke)"
   "$build_dir/tests/conjunctive_chaos_test" --gtest_brief=1
 fi
-# Sharded-engine smoke: the multi-shard chaos soak (conservation + replay
-# invariants with real worker threads). The 100k-peer scale point itself runs
-# inside bench_routing's quick mode above (E2b section).
+# Keyed-engine smoke: its chaos soak (conservation + replay invariants). The
+# 100k-peer scale point itself runs inside bench_routing's quick mode above
+# (E2b section).
 if [[ "$quick" -eq 1 && -z "$filter" && -x "$build_dir/tests/sharded_soak_test" ]]; then
-  echo "== sharded_soak_test (multi-shard chaos smoke)"
+  echo "== sharded_soak_test (keyed-engine chaos smoke)"
   "$build_dir/tests/sharded_soak_test" --gtest_brief=1
 fi
 # Observability artifact: a scripted shell session traces one conjunctive
@@ -109,16 +109,15 @@ EOF
     echo "python3 not found; skipping trace validation"
   fi
 fi
-# Sharded observability artifact: the same session shape on the 2-shard
-# engine with the windowed health layer on. The trace dump carries
-# otherData.shards=2, which switches the validator to the shard-merge checks
-# (shard-index span-id bits, strictly increasing merged (ts, order) keys),
-# and the timeseries dump is checked against the windowed-sample schema.
+# Keyed-engine observability artifact: the same session shape on the
+# content-keyed engine with the windowed health layer on. The trace dump gets
+# the same checks (its order keys are content-derived), and the timeseries
+# dump is checked against the windowed-sample schema.
 if [[ "$quick" -eq 1 && -z "$filter" && -x "$shell_bin" ]]; then
   artifact_dir="${GV_ARTIFACT_DIR:-$out_root}"
   mkdir -p "$artifact_dir"
-  echo "== sharded trace + timeseries artifact -> $artifact_dir"
-  "$shell_bin" --shards 2 >/dev/null <<EOF
+  echo "== keyed-engine trace + timeseries artifact -> $artifact_dir"
+  "$shell_bin" --sharded >/dev/null <<EOF
 trace on
 health on 0.25
 schema W w type,size
@@ -139,7 +138,7 @@ EOF
       "$artifact_dir/metrics_sharded.json" \
       "$artifact_dir/timeseries.json"
   else
-    echo "python3 not found; skipping sharded trace validation"
+    echo "python3 not found; skipping keyed-engine trace validation"
   fi
 fi
 # Serving-throughput smoke: bench_serving ran in the loop above (flash-crowd
@@ -220,10 +219,11 @@ EOF
 fi
 # Tracing-overhead gate: bench_sim_micro measures the relay hot path with no
 # tracer, an attached-but-disabled tracer, and an enabled one (plus the
-# 2-shard variant). Disabled tracing must stay under 3% overhead — the
-# observability layer may not tax untraced runs. The gate reads the median
-# of paired per-rep ratios and only binds on full runs; quick-mode windows
-# (~10 ms) are pure jitter.
+# content-keyed engine's relay, untraced and enabled, against the classic
+# one). Disabled tracing must stay under 3% overhead — the observability
+# layer may not tax untraced runs. The gate reads the median of paired
+# per-rep ratios and only binds on full runs; quick-mode windows (~10 ms)
+# are pure jitter.
 sim_micro_json="$out_root/BENCH_sim_micro.json"
 if [[ -f "$sim_micro_json" ]] && command -v python3 >/dev/null 2>&1; then
   echo "== validating $(basename "$sim_micro_json")"
@@ -241,8 +241,8 @@ for key in ["messages_per_sec_untraced", "messages_per_sec_disabled",
             "enabled_overhead_pct"]:
     if key not in classic:
         sys.exit(f"tracing_overhead row missing key {key}")
-for key in ["shards", "messages_per_sec_untraced", "messages_per_sec_enabled",
-            "enabled_overhead_pct"]:
+for key in ["messages_per_sec_untraced", "messages_per_sec_enabled",
+            "enabled_overhead_pct", "untraced_vs_classic_pct"]:
     if key not in sharded:
         sys.exit(f"tracing_overhead_sharded row missing key {key}")
 dis = classic["disabled_overhead_pct"]
@@ -251,7 +251,8 @@ if os.environ.get("GV_BENCH_FULL") == "1" and dis >= 3.0:
              f"hot path (gate is 3%)")
 print(f"  ok: disabled_overhead={dis:.1f}% "
       f"enabled={classic['enabled_overhead_pct']:.1f}% "
-      f"sharded_enabled={sharded['enabled_overhead_pct']:.1f}%")
+      f"keyed_enabled={sharded['enabled_overhead_pct']:.1f}% "
+      f"keyed_vs_classic={sharded['untraced_vs_classic_pct']:+.1f}%")
 EOF
 fi
 # Self-organization smoke: bench_selforg ran the schema-evolution scenario

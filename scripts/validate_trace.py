@@ -7,15 +7,10 @@ Checks, exiting non-zero on the first violation:
   - the trace file is valid JSON with a non-empty "traceEvents" list;
   - every event carries args.span_id, span ids are unique;
   - every non-zero args.parent_id refers to a recorded span with the same
-    tid (= trace id) and a strictly smaller causal key (ts, then args.order)
-    -- the merge key shard rings are combined on, so parent chains strictly
-    decrease and cannot cycle;
+    tid (= trace id) and a strictly smaller causal key (ts, then args.order),
+    so parent chains strictly decrease and cannot cycle;
   - every span tree is acyclic by explicit parent-chain traversal (belt and
     braces on top of the key argument);
-  - shard-merged traces ("otherData": {"shards": N}): span-id high bits name
-    a shard below N, and the merged event sequence is sorted by the causal
-    (ts, order) key -- the property that makes the merged trace identical to
-    the shards=1 trace of the same seed;
   - the optional metrics file is valid JSON with the counters / gauges /
     histograms sections;
   - the optional timeseries file matches the MetricsTimeSeries::ToJson
@@ -25,9 +20,6 @@ Checks, exiting non-zero on the first violation:
 
 import json
 import sys
-
-SHARD_ID_SHIFT = 48  # Tracer::kShardIdShift
-
 
 def fail(msg):
     print(f"validate_trace: FAIL: {msg}", file=sys.stderr)
@@ -44,7 +36,6 @@ def validate_trace(path):
     events = doc.get("traceEvents")
     if not isinstance(events, list) or not events:
         fail(f"{path}: no traceEvents")
-    shards = doc.get("otherData", {}).get("shards", 1)
     by_id = {}
     for ev in events:
         args = ev.get("args", {})
@@ -53,9 +44,6 @@ def validate_trace(path):
             fail(f"{path}: event without a positive args.span_id: {ev}")
         if span_id in by_id:
             fail(f"{path}: duplicate span id {span_id}")
-        if shards > 1 and (span_id >> SHARD_ID_SHIFT) >= shards:
-            fail(f"{path}: span {span_id} names shard "
-                 f"{span_id >> SHARD_ID_SHIFT} of {shards}")
         by_id[span_id] = ev
     for ev in events:
         span_id = ev["args"]["span_id"]
@@ -83,15 +71,9 @@ def validate_trace(path):
             chain.append(span_id)
             span_id = by_id[span_id]["args"].get("parent_id", 0)
         ok.update(chain)
-    if shards > 1:
-        keys = [causal_key(ev) for ev in events]
-        for i in range(1, len(keys)):
-            if keys[i - 1] >= keys[i]:
-                fail(f"{path}: merged events out of (ts, order) key order at "
-                     f"index {i}")
     roots = sum(1 for ev in events if ev["args"].get("parent_id", 0) == 0)
     print(f"validate_trace: {path}: {len(events)} span(s), {roots} tree(s), "
-          f"{shards} shard(s), acyclic")
+          "acyclic")
 
 
 def validate_metrics(path):

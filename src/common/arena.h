@@ -18,9 +18,7 @@ namespace gridvine {
 /// 100k–1M simulated peers the headers and fragmentation of one heap
 /// allocation per string dominate the strings themselves.
 ///
-/// Not thread-safe; each owning component allocates from its own arena (the
-/// sharded simulator partitions peers across threads, so a peer's arena is
-/// only ever touched by its shard).
+/// Not thread-safe; each owning component allocates from its own arena.
 class Arena {
  public:
   /// `min_chunk_bytes` sizes the first chunk; subsequent chunks double up to

@@ -18,8 +18,8 @@ namespace gridvine {
 /// copies. Mutation happens by replacing a holder's pointer with a newly
 /// interned variant — never by writing through the shared object.
 ///
-/// Thread-safe (lookups take a shared lock): peers on different simulator
-/// shards may intern concurrently. The pool keeps entries alive even when no
+/// Thread-safe (lookups take a shared lock), since one pool serves the whole
+/// process. The pool keeps entries alive even when no
 /// holder remains; call Prune() to drop unreferenced ones.
 template <typename T>
 class InternPool {

@@ -131,10 +131,9 @@ inline uint64_t Mix64(uint64_t x) {
 /// 8-byte deterministic generator (SplitMix64). Statistically far weaker than
 /// Rng's mt19937_64 (2.5 KB of state), but with one machine word of state it
 /// is what makes *per-node* random streams affordable at 1M simulated peers:
-/// the sharded network keeps one SmallRng per node so every node's latency /
-/// loss / fault draws come from its own stream and are independent of the
-/// global interleaving of sends — the property that keeps multi-shard runs
-/// bit-identical to single-shard runs. Draw-for-draw it does NOT reproduce
+/// the content-keyed engine keeps one SmallRng per node so every node's
+/// latency / loss / fault draws come from its own stream and are independent
+/// of the global interleaving of sends. Draw-for-draw it does NOT reproduce
 /// Rng's sequences; the two engines are separate determinism domains.
 class SmallRng {
  public:
@@ -191,9 +190,8 @@ class SmallRng {
 /// mt19937_64 — the dominant share of a bare peer's footprint at the 1M-peer
 /// scale point. Peers take its seed directly (see Mt64Head for deriving one
 /// from an Rng seed without building the Rng); like SmallRng it is a
-/// separate determinism domain from Rng (same-seed runs are self-identical
-/// and shard-count invariant, but not draw-for-draw equal to the mt19937_64
-/// streams).
+/// separate determinism domain from Rng (same-seed runs are self-identical,
+/// but not draw-for-draw equal to the mt19937_64 streams).
 class CompactRng {
  public:
   CompactRng() : rng_(0) {}

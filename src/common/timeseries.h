@@ -11,7 +11,7 @@
 namespace gridvine {
 
 class MetricsRegistry;
-class TraceView;
+class Tracer;
 
 /// Windowed history of MetricsRegistry snapshots in *simulated* time: each
 /// Record() call flattens the registry into (window_end, name, value) rows
@@ -101,7 +101,7 @@ class HealthWatchdog {
 
   /// Attaches the tracer that receives "health.violation" markers (may be
   /// null; only used while tracing is enabled).
-  void SetTracer(TraceView* tracer) { tracer_ = tracer; }
+  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Evaluates every rule against `m` (a fresh cumulative snapshot) for the
   /// window ending at `window_end`, updates the "health.*" counters inside
@@ -122,7 +122,7 @@ class HealthWatchdog {
   void Fire(double window_end, std::string rule, std::string detail);
 
   Options opts_;
-  TraceView* tracer_ = nullptr;
+  Tracer* tracer_ = nullptr;
   std::vector<Violation> violations_;
   std::map<std::string, uint64_t, std::less<>> fired_;
   std::map<std::string, double, std::less<>> prev_;  ///< last window's values

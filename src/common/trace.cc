@@ -28,7 +28,7 @@ Tracer::Span* Tracer::Find(TraceCtx ctx) {
 TraceCtx Tracer::Open(std::string_view name, uint64_t trace_id,
                       uint64_t parent_id) {
   Span span;
-  span.span_id = id_base_ | next_id_++;
+  span.span_id = next_id_++;
   span.order = NextOrder(span.span_id);
   span.trace_id = trace_id == 0 ? span.span_id : trace_id;
   span.parent_id = parent_id;
@@ -149,18 +149,11 @@ bool CausallyBefore(const Tracer::Span& a, const Tracer::Span& b) {
   return a.span_id < b.span_id;
 }
 
-}  // namespace
-
-std::string SpansToChromeJson(const std::vector<Tracer::Span>& spans,
-                              uint32_t shards) {
+/// Chrome trace_event JSON over an explicit span list.
+std::string SpansToChromeJson(const std::vector<Tracer::Span>& spans) {
   std::ostringstream os;
   os.precision(15);
   os << "{\"displayTimeUnit\": \"ms\",\n";
-  if (shards > 1) {
-    // Tooling switch: validate_trace.py applies the shard-merge checks
-    // (monotone (ts, order) keys, graph-traversal acyclicity) when present.
-    os << "\"otherData\": {\"shards\": " << shards << "},\n";
-  }
   os << "\"traceEvents\": [\n";
   for (size_t i = 0; i < spans.size(); ++i) {
     const Tracer::Span& s = spans[i];
@@ -193,62 +186,22 @@ std::string SpansToChromeJson(const std::vector<Tracer::Span>& spans,
   return os.str();
 }
 
+}  // namespace
+
 std::string Tracer::ToChromeJson() const {
-  return SpansToChromeJson(Snapshot(), 1);
-}
-
-size_t TraceView::size() const {
-  size_t n = 0;
-  for (const Tracer* t : parts_) n += t->size();
-  return n;
-}
-
-uint64_t TraceView::evicted() const {
-  uint64_t n = 0;
-  for (const Tracer* t : parts_) n += t->evicted();
-  return n;
-}
-
-TraceCtx TraceView::StartTrace(std::string_view name) {
-  if (parts_.empty()) return TraceCtx{};
-  return parts_[0]->StartTrace(name);
-}
-
-Tracer* TraceView::Owner(TraceCtx ctx) {
-  if (parts_.empty() || !ctx.valid()) return nullptr;
-  const uint64_t shard = ctx.span_id >> Tracer::kShardIdShift;
-  return shard < parts_.size() ? parts_[shard] : nullptr;
-}
-
-void TraceView::EndSpan(TraceCtx ctx) {
-  if (Tracer* t = Owner(ctx)) t->EndSpan(ctx);
-}
-
-void TraceView::Annotate(TraceCtx ctx, std::string_view key, double value) {
-  if (Tracer* t = Owner(ctx)) t->Annotate(ctx, key, value);
-}
-
-void TraceView::Annotate(TraceCtx ctx, std::string_view key,
-                         std::string_view value) {
-  if (Tracer* t = Owner(ctx)) t->Annotate(ctx, key, value);
+  return SpansToChromeJson(Snapshot());
 }
 
 std::vector<Tracer::Span> TraceView::Snapshot() const {
-  std::vector<Tracer::Span> out;
-  out.reserve(size());
-  for (const Tracer* t : parts_) {
-    std::vector<Tracer::Span> part = t->Snapshot();
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  // A full sort, not a k-way ring merge: retroactive Interval spans are
-  // recorded out of start order even within one ring.
+  std::vector<Tracer::Span> out = ring_->Snapshot();
+  // Ring order is creation order, but retroactive Interval spans start
+  // before spans created ahead of them.
   std::sort(out.begin(), out.end(), CausallyBefore);
   return out;
 }
 
 std::string TraceView::ToChromeJson() const {
-  return SpansToChromeJson(Snapshot(), parts());
+  return SpansToChromeJson(Snapshot());
 }
 
 TraceAnalyzer::TraceAnalyzer(std::vector<Tracer::Span> spans)
@@ -316,8 +269,7 @@ std::string TraceAnalyzer::CheckConsistency(uint64_t evicted) const {
     }
     // Parents are opened causally before their children, so the (start,
     // order) key strictly increases parent -> child; any parent chain
-    // therefore strictly decreases and cannot cycle. (Numeric id order only
-    // holds within one ring — shard-merged snapshots interleave counters.)
+    // therefore strictly decreases and cannot cycle.
     if (parent->start > s.start ||
         (parent->start == s.start && parent->order >= s.order)) {
       return where + ": parent " + std::to_string(s.parent_id) +

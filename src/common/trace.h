@@ -28,29 +28,22 @@ struct TraceCtx {
 /// Contracts:
 ///   - Disabled (the default), every call is a cheap early-out and performs
 ///     no allocation; the send+delivery hot path stays zero-alloc.
-///   - Span ids come from a plain counter (optionally offset by a shard id
-///     base, see SetIdBase), and no call draws from any Rng — enabling
-///     tracing never perturbs a seeded run.
+///   - Span ids come from a plain counter, and no call draws from any Rng —
+///     enabling tracing never perturbs a seeded run.
 ///   - The ring overwrites the oldest span once `capacity` is exceeded
 ///     (`evicted()` counts casualties); consistency checks require a
 ///     capacity that held the whole run.
 ///
-/// Sharded runs give every shard its own Tracer (no locks, no sharing): ids
-/// carry the shard index in the high bits so they stay unique and
-/// deterministic for any shard count, and every span carries a
-/// content-derived `order` key — (creator actor, per-actor counter), the same
-/// shape as the engine's event subkeys but from separate counters — so the
-/// per-shard rings merge into one causally-ordered stream by sorting on
-/// (start, order). See TraceView for the merged read side.
+/// Every span carries an `order` key. By default it is the span id
+/// (creation order); the content-keyed engine installs a content-derived
+/// source — (creator actor, per-actor counter), the shape of its event keys
+/// but from separate counters. Sorting on (start, order) lists parents
+/// before children; TraceView::Snapshot does.
 ///
 /// Timestamps come from the clock callback (normally Simulator::Now via
 /// SetClock); without one, spans sit at t = 0.
 class Tracer {
  public:
-  /// Span ids reserve the bits at and above this shift for the shard index
-  /// (SetIdBase); the low 48 bits are the shard-local counter.
-  static constexpr int kShardIdShift = 48;
-
   struct Annotation {
     std::string key;
     bool is_number = true;
@@ -62,9 +55,9 @@ class Tracer {
     uint64_t trace_id = 0;
     uint64_t span_id = 0;
     uint64_t parent_id = 0;  ///< 0 for a trace root
-    /// Merge key: strictly increases from parent to child within (start,
-    /// order) lexicographic order. Defaults to span_id; sharded engines
-    /// install a content-derived source (SetOrderSource).
+    /// Causal key: strictly increases from parent to child within (start,
+    /// order) lexicographic order. Defaults to span_id; the keyed engine
+    /// installs a content-derived source (SetOrderSource).
     uint64_t order = 0;
     std::string_view name;   ///< literal or interned — storage outlives us
     double start = 0;
@@ -79,11 +72,8 @@ class Tracer {
   /// The simulated-time source for span timestamps.
   void SetClock(std::function<double()> clock) { clock_ = std::move(clock); }
 
-  /// OR'd into every span id (shard index << kShardIdShift). The default 0
-  /// yields plain counters — bit-identical to the pre-sharding scheme.
-  void SetIdBase(uint64_t base) { id_base_ = base; }
   /// Installs the content-derived span-order source. Without one, order =
-  /// span_id (correct for a single ring: creation order is causal order).
+  /// span_id (creation order is causal order).
   void SetOrderSource(std::function<uint64_t()> source) {
     order_source_ = std::move(source);
   }
@@ -99,8 +89,8 @@ class Tracer {
   /// Opens a child of `parent`; an invalid parent starts a new trace.
   TraceCtx StartSpan(std::string_view name, TraceCtx parent);
   void EndSpan(TraceCtx ctx);
-  /// Ends the span at an explicit simulated time (cross-shard flight spans:
-  /// the delivery happens on another shard whose clock this ring never sees).
+  /// Ends the span at an explicit simulated time (flight spans end at the
+  /// transport's clock, whatever clock this ring was given).
   void EndSpanAt(TraceCtx ctx, double end);
   /// Zero-duration marker span (retries, drops observed elsewhere).
   TraceCtx Instant(std::string_view name, TraceCtx parent);
@@ -140,7 +130,6 @@ class Tracer {
   bool enabled_ = false;
   size_t capacity_ = kDefaultCapacity;
   uint64_t next_id_ = 1;
-  uint64_t id_base_ = 0;
   uint64_t evicted_ = 0;
   std::vector<Span> ring_;
   size_t head_ = 0;  ///< next slot to overwrite once the ring is full
@@ -150,59 +139,26 @@ class Tracer {
   std::function<uint64_t()> order_source_;
 };
 
-/// Chrome trace_event JSON over an explicit span list; `shards` > 1 stamps
-/// otherData.shards so tooling (scripts/validate_trace.py) switches to the
-/// shard-merge checks. Tracer::ToChromeJson and TraceView::ToChromeJson both
-/// route here.
-std::string SpansToChromeJson(const std::vector<Tracer::Span>& spans,
-                              uint32_t shards);
-
-/// One logical tracer over N per-shard rings: the read/control surface
-/// callers (benches, the shell) use without caring which engine ran. Writes
-/// (Enable/Disable/Clear) fan out to every part; Snapshot() merges the rings
-/// into one causally-ordered stream by the (start, order) key — the same
-/// content-derived ordering the sharded engine uses for events, so the
-/// merged view of a shards=N run lists the same spans in the same order as
-/// the shards=1 run of that seed. A classic single-threaded run is just the
-/// one-part view.
+/// The read and control surface over one span ring that
+/// GridVineNetwork::tracer() hands out, whichever engine runs. Snapshot()
+/// lists the spans in causal order — sorted by (start, order), so a parent
+/// always precedes its children, retroactive Interval spans included.
 class TraceView {
  public:
-  TraceView() = default;
-  explicit TraceView(std::vector<Tracer*> parts) : parts_(std::move(parts)) {}
+  explicit TraceView(Tracer* ring = nullptr) : ring_(ring) {}
 
-  void SetParts(std::vector<Tracer*> parts) { parts_ = std::move(parts); }
-  uint32_t parts() const { return uint32_t(parts_.size()); }
+  bool enabled() const { return ring_->enabled(); }
+  void Enable(size_t capacity = 1 << 20) { ring_->Enable(capacity); }
+  void Disable() { ring_->Disable(); }
+  void Clear() { ring_->Clear(); }
+  size_t size() const { return ring_->size(); }
+  uint64_t evicted() const { return ring_->evicted(); }
 
-  bool enabled() const { return !parts_.empty() && parts_[0]->enabled(); }
-  void Enable(size_t capacity_per_part = 1 << 20) {
-    for (Tracer* t : parts_) t->Enable(capacity_per_part);
-  }
-  void Disable() {
-    for (Tracer* t : parts_) t->Disable();
-  }
-  void Clear() {
-    for (Tracer* t : parts_) t->Clear();
-  }
-
-  size_t size() const;
-  uint64_t evicted() const;
-
-  /// Roots a new trace (on the first ring — external drivers run at
-  /// quiescent points, so the placement is deterministic).
-  TraceCtx StartTrace(std::string_view name);
-  /// Routed to the ring that owns ctx's span (shard index in the id bits).
-  void EndSpan(TraceCtx ctx);
-  void Annotate(TraceCtx ctx, std::string_view key, double value);
-  void Annotate(TraceCtx ctx, std::string_view key, std::string_view value);
-
-  /// All parts' spans merged by (start, order) — causal order: a parent
-  /// always precedes its children.
   std::vector<Tracer::Span> Snapshot() const;
   std::string ToChromeJson() const;
 
  private:
-  Tracer* Owner(TraceCtx ctx);
-  std::vector<Tracer*> parts_;
+  Tracer* ring_;
 };
 
 /// Read-side helper over a span snapshot: per-trace counts, the structural

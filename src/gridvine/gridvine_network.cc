@@ -1,5 +1,7 @@
 #include "gridvine/gridvine_network.h"
 
+#include <cassert>
+
 #include "gridvine/query_frontend.h"
 
 namespace gridvine {
@@ -8,21 +10,22 @@ GridVineNetwork::GridVineNetwork(Options options)
     : options_(options), rng_(options.seed) {
   options_.peer.key_depth = options_.key_depth;
   options_.overlay.key_depth = options_.key_depth;
-  if (options_.shards > 1 || options_.force_sharded) {
+  assert(options_.shards == 1 && "one queue only; set force_sharded");
+  if (options_.force_sharded) {
     ShardedNetwork::Options sopts;
-    sopts.shards = options_.shards;
     sopts.seed = options_.seed;
     sopts.loss_probability = options_.loss_probability;
     sopts.latency = MakeLatency();
-    engine_ = std::make_unique<ShardedNetwork>(std::move(sopts));
-    trace_view_.SetParts(engine_->TracerParts());
+    auto engine = std::make_unique<ShardedNetwork>(std::move(sopts));
+    engine_ = engine.get();
+    network_ = std::move(engine);
   } else {
-    trace_view_.SetParts({&tracer_});
     tracer_.SetClock([this] { return sim_.Now(); });
     network_ = std::make_unique<Network>(&sim_, MakeLatency(), rng_.Fork(),
                                          options_.loss_probability);
     network_->SetTracer(&tracer_);
   }
+  trace_view_ = TraceView(network_->tracer());
   peers_.reserve(options_.num_peers);
   for (size_t i = 0; i < options_.num_peers; ++i) {
     // A peer's streams are seeded as if from a forked Rng(s): the overlay
@@ -31,13 +34,9 @@ GridVineNetwork::GridVineNetwork(Options options)
     // either mt19937_64.
     const auto fork = Mt64Head<2>(rng_.engine()());
     const uint64_t overlay_seed = Mt64Head<1>(fork[0])[0];
-    // On the sharded engine each peer is built against its owner shard's
-    // simulator and lane; the sequential construction order fixes the
-    // id <-> shard assignment.
-    Simulator* sim = engine_ ? engine_->SimForNext() : &sim_;
-    Network* network = engine_ ? engine_->LaneForNext() : network_.get();
     peers_.push_back(std::make_unique<GridVinePeer>(
-        sim, network, overlay_seed, fork[1], options_.peer, options_.overlay));
+        network_->sim(), network_.get(), overlay_seed, fork[1], options_.peer,
+        options_.overlay));
   }
   Rng wire_rng = rng_.Fork();
   PGridBuilder::BuildBalanced(overlay_peers(), &wire_rng,
@@ -67,19 +66,15 @@ std::vector<PGridPeer*> GridVineNetwork::overlay_peers() {
 
 MetricsRegistry& GridVineNetwork::CollectMetrics() {
   metrics_.Clear();
-  if (engine_) {
-    engine_->PublishMetrics(&metrics_);
-  } else {
-    network_->PublishMetrics(&metrics_);
-  }
+  network_->PublishMetrics(&metrics_);
   for (auto& p : peers_) {
     p->PublishMetrics(&metrics_);
     p->overlay()->PublishMetrics(&metrics_);
   }
   for (auto& source : metrics_sources_) source(&metrics_);
-  // Spans lost to ring wrap-around, summed across shards. Nonzero means
-  // exported traces may contain orphans (TraceAnalyzer downgrades those to
-  // warnings) — the signal to enlarge the ring.
+  // Spans lost to ring wrap-around. Nonzero means exported traces may
+  // contain orphans (TraceAnalyzer downgrades those to warnings) — the
+  // signal to enlarge the ring.
   metrics_.Counter("trace.evicted") = trace_view_.evicted();
   if (health_enabled_) watchdog_.PublishMetrics(&metrics_);
   return metrics_;
@@ -88,7 +83,7 @@ MetricsRegistry& GridVineNetwork::CollectMetrics() {
 void GridVineNetwork::EnableHealth(double window_s,
                                    HealthWatchdog::Options opts) {
   watchdog_ = HealthWatchdog(opts);
-  watchdog_.SetTracer(&trace_view_);
+  watchdog_.SetTracer(network_->tracer());
   health_window_ = window_s;
   health_enabled_ = true;
   ScheduleHealthTick();
@@ -103,10 +98,8 @@ void GridVineNetwork::HealthTick() {
 void GridVineNetwork::ScheduleHealthTick() {
   // The tick re-arms only while events remain, so drain loops (Settle,
   // RunUntilIdle) still terminate; an idle deployment samples nothing.
-  // On the sharded engine the tick is a global task: shards are parked with
-  // clocks synced, so reading every peer's counters is race-free, and
-  // rescheduling from inside a global task is legal (the engine is
-  // quiescent there).
+  // On the keyed engine the tick is a global task, so it runs as no node and
+  // before any node event due at the same instant.
   const SimTime at = Now() + health_window_;
   if (engine_) {
     engine_->ScheduleGlobal(at, [this] {
@@ -155,12 +148,8 @@ void GridVineNetwork::RebuildOverlayAdaptive(const std::vector<Key>& sample) {
 }
 
 void GridVineNetwork::PumpUntil(const bool* done) {
-  // One draining call instead of a Run(1)-per-event loop: the simulator
-  // checks the flag between events, so stop semantics are unchanged but the
-  // per-event pump overhead (call + loop setup per event) is gone. The
-  // sharded engine checks at epoch boundaries instead — coarser, but every
-  // completion callback runs on the issuing peer's shard, which is what its
-  // flag rule requires.
+  // One draining call instead of a Run(1)-per-event loop: both engines
+  // check the flag between events, so nothing runs after the completion.
   if (engine_) {
     engine_->RunUntilFlag(done);
   } else {

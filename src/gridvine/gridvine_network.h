@@ -48,18 +48,14 @@ class GridVineNetwork {
     SimTime wan_straggler_mean = 4.0;
     double loss_probability = 0.0;
     int refs_per_level = 2;
-    /// > 1 runs the deployment on the sharded conservative-parallel engine
-    /// (ShardedNetwork): peers are partitioned across this many event-queue
-    /// shards with worker threads. Outcomes are bit-identical across shard
-    /// counts, and tracing works the same as in classic mode — tracer()
-    /// returns a TraceView merging the per-shard span rings into one
-    /// causally ordered sequence. sim()/network() return null — use
-    /// engine(). 1 (default) keeps the classic single-queue path.
+    /// Must be 1 (asserted): both engines run one queue. Kept only because
+    /// benchmark/ sets it.
     uint32_t shards = 1;
-    /// Run the sharded engine even at shards == 1 (its threadless reference
-    /// mode). Classic and sharded runs are NOT comparable bit-for-bit (the
-    /// engines consume random streams differently); forcing the engine lets
-    /// a shards=1 run anchor a shard-count invariance comparison.
+    /// Run the content-keyed engine (ShardedNetwork: per-node random streams
+    /// and content-derived event keys) instead of the classic Simulator +
+    /// Network. Classic and keyed runs of one seed are NOT comparable
+    /// bit-for-bit: the engines consume random streams differently. sim()
+    /// returns null on the keyed engine — drive it through engine().
     bool force_sharded = false;
     PGridPeer::Options overlay;
     GridVinePeer::Options peer;
@@ -70,23 +66,20 @@ class GridVineNetwork {
   GridVineNetwork(const GridVineNetwork&) = delete;
   GridVineNetwork& operator=(const GridVineNetwork&) = delete;
 
-  /// Single-queue event loop and transport; null when shards > 1.
+  /// The classic event loop; null on the keyed engine.
   Simulator* sim() { return engine_ ? nullptr : &sim_; }
+  /// The transport every peer sends through, on either engine.
   Network* network() { return network_.get(); }
-  /// The sharded engine; null when shards == 1.
-  ShardedNetwork* engine() { return engine_.get(); }
+  /// The keyed engine; null on the classic one.
+  ShardedNetwork* engine() { return engine_; }
   Rng* rng() { return &rng_; }
 
   /// Simulated time, whichever engine is driving.
   SimTime Now() const { return engine_ ? engine_->Now() : sim_.Now(); }
 
-  /// The deployment's tracer, pre-wired into the transport and clocked on
-  /// simulated time. Disabled (zero-cost) until tracer()->Enable(). In
-  /// classic mode this views the single ring; in sharded mode it merges the
-  /// per-shard rings (Snapshot() sorts by the causal (start, order) key, so
-  /// the merged sequence is identical for any shard count of the same seed).
-  /// Enable/Disable/Clear are quiescent-only on the sharded engine, same as
-  /// every other control call.
+  /// The deployment's span ring, pre-wired into the transport and clocked
+  /// on simulated time. Disabled (zero-cost) until tracer()->Enable().
+  /// Snapshot() lists spans in causal (start, order) order.
   TraceView* tracer() { return &trace_view_; }
 
   /// Scratch registry for CollectMetrics; also usable directly.
@@ -97,7 +90,7 @@ class GridVineNetwork {
   /// Starts the windowed health layer: every `window_s` simulated seconds a
   /// tick collects a full metrics snapshot, evaluates the watchdog's
   /// invariant rules over the window, and appends the snapshot to the
-  /// time series. Ticks ride the event loop (a global task on the sharded
+  /// time series. Ticks ride the event loop (a global task on the keyed
   /// engine), so windows land at deterministic simulated times; they stop
   /// re-arming once the deployment goes idle — call HealthTick() for a
   /// manual sample, or EnableHealth again to restart the cadence.
@@ -192,15 +185,9 @@ class GridVineNetwork {
     }
   }
 
-  /// Marks a peer dead/alive in the transport, engine-agnostic. On the
-  /// sharded engine this must be called between runs (quiescent), same as
-  /// ShardedNetwork::SetAlive.
+  /// Marks a peer dead/alive in the transport, engine-agnostic.
   void SetAlive(size_t peer_idx, bool alive) {
-    if (engine_) {
-      engine_->SetAlive(static_cast<NodeId>(peer_idx), alive);
-    } else {
-      network_->SetAlive(static_cast<NodeId>(peer_idx), alive);
-    }
+    network_->SetAlive(static_cast<NodeId>(peer_idx), alive);
   }
 
   /// Aggregate per-peer + engine memory accounting, in bytes. `breakdown`
@@ -241,9 +228,9 @@ class GridVineNetwork {
   /// Arms the next health tick `health_window_` seconds out (engine-agnostic).
   void ScheduleHealthTick();
 
-  /// Runs `f` attributed to peer `peer_idx` — on the sharded engine, issuing
+  /// Runs `f` attributed to peer `peer_idx` — on the keyed engine, issuing
   /// work from outside an event must go through RunAsNode so the sends it
-  /// triggers draw from that peer's streams. Direct call in single mode.
+  /// triggers draw from that peer's streams. Direct call in classic mode.
   template <typename F>
   void Issue(size_t peer_idx, F&& f) {
     if (engine_) {
@@ -256,17 +243,16 @@ class GridVineNetwork {
   Options options_;
   Simulator sim_;
   Rng rng_;
-  Tracer tracer_;  // classic mode's single ring (inert when sharded)
-  /// What tracer() hands out: {&tracer_} in classic mode, the engine's
-  /// per-shard rings in sharded mode.
+  Tracer tracer_;  // the classic engine's ring; the keyed engine owns its own
+  /// What tracer() hands out: a view of the transport's ring.
   TraceView trace_view_;
   MetricsRegistry metrics_;
   MetricsTimeSeries timeseries_;
   HealthWatchdog watchdog_;
   double health_window_ = 0;  // 0 until EnableHealth
   bool health_enabled_ = false;
-  std::unique_ptr<Network> network_;
-  std::unique_ptr<ShardedNetwork> engine_;  // shards > 1 only
+  std::unique_ptr<Network> network_;  // either engine's transport
+  ShardedNetwork* engine_ = nullptr;  // network_, when it is the keyed engine
   std::vector<std::unique_ptr<GridVinePeer>> peers_;
   std::vector<std::function<void(MetricsRegistry*)>> metrics_sources_;
 };

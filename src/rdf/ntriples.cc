@@ -132,12 +132,19 @@ class LineScanner {
 }  // namespace
 
 std::string ToNTriplesLine(const Triple& triple) {
-  std::string out = "<" + triple.subject().value() + "> <" +
-                    triple.predicate().value() + "> ";
+  std::string out = "<";
+  out += triple.subject().value();
+  out += "> <";
+  out += triple.predicate().value();
+  out += "> ";
   if (triple.object().IsUri()) {
-    out += "<" + triple.object().value() + ">";
+    out += "<";
+    out += triple.object().value();
+    out += ">";
   } else {
-    out += "\"" + EscapeLiteral(triple.object().value()) + "\"";
+    out += "\"";
+    out += EscapeLiteral(triple.object().value());
+    out += "\"";
   }
   out += " .";
   return out;

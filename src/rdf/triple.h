@@ -41,8 +41,16 @@ class Triple {
   static Result<Triple> Parse(const std::string& line);
 
   std::string ToString() const {
-    return "(" + subject_.ToString() + ", " + predicate_.ToString() + ", " +
-           object_.ToString() + ")";
+    // Appended piecewise: a `"(" + std::string&&` chain trips GCC 12's
+    // -Wrestrict false positive in every file that includes this header.
+    std::string out = "(";
+    out += subject_.ToString();
+    out += ", ";
+    out += predicate_.ToString();
+    out += ", ";
+    out += object_.ToString();
+    out += ")";
+    return out;
   }
 
   bool operator==(const Triple& other) const {

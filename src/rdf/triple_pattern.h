@@ -62,8 +62,15 @@ class TriplePattern {
   static Result<TriplePattern> Parse(const std::string& line);
 
   std::string ToString() const {
-    return "(" + subject_.ToString() + ", " + predicate_.ToString() + ", " +
-           object_.ToString() + ")";
+    // Appended piecewise, as in Triple::ToString.
+    std::string out = "(";
+    out += subject_.ToString();
+    out += ", ";
+    out += predicate_.ToString();
+    out += ", ";
+    out += object_.ToString();
+    out += ")";
+    return out;
   }
 
   bool operator==(const TriplePattern& other) const {

@@ -91,8 +91,7 @@ class SelfOrganizer {
   /// Continuous background operation: advances simulated time by `interval`
   /// (churn, faults and query traffic fire inside the slice), then runs one
   /// round synchronously from outside the event loop; repeated `rounds`
-  /// times. Works identically on the single-queue and sharded engines (the
-  /// network is quiescent between slices).
+  /// times. Works identically on the classic and keyed engines.
   std::vector<RoundReport> RunContinuous(int rounds, SimTime interval);
 
   /// Re-syncs the persistent graph view from the DHT. Unchanged records are

@@ -37,7 +37,7 @@ constexpr std::string_view DropCauseName(DropCause cause) {
 /// node liveness. A plan is a set of *timed windows* — loss bursts,
 /// bidirectional partitions, latency spikes — plus a whole-run duplication
 /// probability. All randomness is drawn from the transport's stream (the
-/// Network's seeded Rng, or the acting node's SmallRng on the sharded engine)
+/// Network's seeded Rng, or the acting node's SmallRng on the keyed engine)
 /// in a fixed consultation order, so a faulted run replays bit-identically
 /// from its seed; the windows themselves are plain data and can be generated
 /// from a seed too (see tests/fault_harness.h).
@@ -90,10 +90,8 @@ class FaultPlan {
   /// covering window, in insertion order). Returns true and sets `*cause`
   /// if the plan drops the message.
   ///
-  /// Every consultation is generic over the stream: the single-threaded
-  /// network passes its seeded Rng, the sharded engine the acting node's
-  /// SmallRng. The plan's own state is read-only after setup, so the sharded
-  /// engine's concurrent consultation from every shard is safe.
+  /// Every consultation is generic over the stream: the classic network
+  /// passes its seeded Rng, the keyed engine the acting node's SmallRng.
   template <typename AnyRng>
   bool ShouldDrop(SimTime now, NodeId from, NodeId to, AnyRng* rng,
                   DropCause* cause) const {

@@ -15,16 +15,11 @@ class LatencyModel {
   virtual ~LatencyModel() = default;
   /// One latency sample in seconds.
   virtual SimTime Sample(Rng* rng) = 0;
-  /// Sample drawing from a per-node SmallRng stream — the sharded engine's
+  /// Sample drawing from a per-node SmallRng stream — the keyed engine's
   /// path, where draw order must not depend on global send interleaving.
   /// The two overloads need not produce the same sequences; each engine is
   /// its own determinism domain.
   virtual SimTime Sample(SmallRng* rng) = 0;
-  /// Hard lower bound on any sample: no message arrives sooner than this.
-  /// The sharded engine's conservative lookahead — the epoch width within
-  /// which shards may run without hearing from each other — is exactly this
-  /// bound, so it must be positive for parallel simulation to make progress.
-  virtual SimTime MinDelay() const = 0;
 };
 
 /// Fixed latency; used by unit tests to make timing assertions exact.
@@ -33,7 +28,6 @@ class ConstantLatency : public LatencyModel {
   explicit ConstantLatency(SimTime latency) : latency_(latency) {}
   SimTime Sample(Rng*) override { return latency_; }
   SimTime Sample(SmallRng*) override { return latency_; }
-  SimTime MinDelay() const override { return latency_; }
 
  private:
   SimTime latency_;
@@ -47,7 +41,6 @@ class UniformLatency : public LatencyModel {
   SimTime Sample(SmallRng* rng) override {
     return rng->UniformDouble(lo_, hi_);
   }
-  SimTime MinDelay() const override { return lo_; }
 
  private:
   SimTime lo_, hi_;
@@ -86,7 +79,6 @@ class WanLatency : public LatencyModel {
     }
     return t;
   }
-  SimTime MinDelay() const override { return base_; }
 
  private:
   SimTime base_;

@@ -10,12 +10,10 @@ namespace gridvine {
 namespace {
 
 struct Registry {
-  /// Guards every map/deque mutation. The registry used to be
-  /// single-threaded like the simulator; the sharded engine's workers can
-  /// intern a type on first sight of a message concurrently, so reads take a
-  /// shared lock and first-sight interning upgrades to exclusive. Names are
-  /// append-only in a deque (never relocated, never erased), so references
-  /// returned to callers stay valid after the lock is released.
+  /// Guards every map/deque mutation: the registry is process-wide, so reads
+  /// take a shared lock and first-sight interning upgrades to exclusive.
+  /// Names are append-only in a deque (never relocated, never erased), so
+  /// references returned to callers stay valid after the lock is released.
   mutable std::shared_mutex mu;
   /// Stable storage for names: ids index into `names`, and the string_view
   /// keys of `by_name` point into it (deque never relocates elements).

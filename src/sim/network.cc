@@ -42,16 +42,9 @@ Network::Network(Simulator* sim, std::unique_ptr<LatencyModel> latency,
 
 NodeId Network::AddNode(NetworkNode* node) {
   NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(NodeSlot{node, true});
+  nodes_.push_back(node);
+  alive_.push_back(1);
   return id;
-}
-
-void Network::SetAlive(NodeId id, bool alive) {
-  if (id < nodes_.size()) nodes_[id].alive = alive;
-}
-
-bool Network::IsAlive(NodeId id) const {
-  return id < nodes_.size() && nodes_[id].alive;
 }
 
 void Network::CountSend(MsgType type, size_t bytes) {
@@ -96,29 +89,30 @@ void Network::CloseFlight(TraceCtx flight, SimTime at,
 
 void Network::Send(NodeId from, NodeId to,
                    std::shared_ptr<const MessageBody> body) {
-  const bool alive = IsAlive(from) && to < nodes_.size() && nodes_[to].alive;
-  Transmit(from, to, std::move(body), alive, sim_->Now(), &rng_,
-           latency_.get(), loss_probability_, fault_plan_.get(),
-           [this, from, to](SimTime at, std::shared_ptr<const MessageBody> copy,
-                            TraceCtx flight) {
-             if (flight.valid()) {
-               sim_->ScheduleAt(
-                   at, TracedDelivery{this, from, to, std::move(copy), flight});
-             } else {
-               sim_->ScheduleAt(at, Delivery{this, from, to, std::move(copy)});
-             }
-           });
+  Transmit(this, from, to, std::move(body), &rng_);
 }
 
 void Network::Deliver(NodeId from, NodeId to,
-                      std::shared_ptr<const MessageBody> body, TraceCtx ctx) {
-  // Liveness re-checked at delivery time: the node may have died in flight.
-  NetworkNode* node =
-      to < nodes_.size() && nodes_[to].alive ? nodes_[to].node : nullptr;
-  Receive(from, node, std::move(body), ctx,
-          [this](TraceCtx flight, std::optional<DropCause> cause) {
-            CloseFlight(flight, sim_->Now(), cause);
-          });
+                      std::shared_ptr<const MessageBody> body,
+                      TraceCtx flight) {
+  const bool traced = flight.valid() && tracer_ != nullptr;
+  if (!IsAlive(to)) {
+    CountDrop(body->TypeTag(), DropCause::kEndpoint);
+    if (traced) CloseFlight(flight, sim_->Now(), DropCause::kEndpoint);
+    return;
+  }
+  ++stats_.messages_delivered;
+  if (!traced) {
+    // No save/restore: the event loop never nests deliveries, so
+    // delivery_ctx_ is already invalid here and the stores would be dead.
+    nodes_[to]->OnMessage(from, std::move(body));
+    return;
+  }
+  CloseFlight(flight, sim_->Now(), std::nullopt);
+  const TraceCtx prev = delivery_ctx_;
+  delivery_ctx_ = flight;
+  nodes_[to]->OnMessage(from, std::move(body));
+  delivery_ctx_ = prev;
 }
 
 void NetworkStats::Publish(MetricsRegistry* metrics) const {
@@ -145,25 +139,6 @@ void NetworkStats::Publish(MetricsRegistry* metrics) const {
       metrics->Counter(base + ".drops") += drops_by_type[id];
     }
   }
-}
-
-void NetworkStats::Accumulate(const NetworkStats& other) {
-  messages_sent += other.messages_sent;
-  messages_delivered += other.messages_delivered;
-  messages_dropped += other.messages_dropped;
-  messages_duplicated += other.messages_duplicated;
-  bytes_sent += other.bytes_sent;
-  drops_endpoint += other.drops_endpoint;
-  drops_loss += other.drops_loss;
-  drops_burst += other.drops_burst;
-  drops_partition += other.drops_partition;
-  auto fold = [](std::vector<uint64_t>* into, const std::vector<uint64_t>& from) {
-    if (from.size() > into->size()) into->resize(from.size(), 0);
-    for (size_t i = 0; i < from.size(); ++i) (*into)[i] += from[i];
-  };
-  fold(&messages_by_type, other.messages_by_type);
-  fold(&bytes_by_type, other.bytes_by_type);
-  fold(&drops_by_type, other.drops_by_type);
 }
 
 void Network::PublishMetrics(MetricsRegistry* metrics) const {

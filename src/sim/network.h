@@ -97,13 +97,8 @@ struct NetworkStats {
   std::map<std::string, uint64_t> MessagesByTypeName() const;
 
   /// Adds these counters into `metrics` under "net.*" (plus per-type
-  /// "net.msg.<type>.*"). Shared by Network::PublishMetrics and the sharded
-  /// engine's lane aggregation.
+  /// "net.msg.<type>.*").
   void Publish(MetricsRegistry* metrics) const;
-
-  /// Adds `other`'s counters into this (per-type vectors grow as needed);
-  /// how the sharded engine folds its per-lane stats into one view.
-  void Accumulate(const NetworkStats& other);
 
   friend bool operator==(const NetworkStats&, const NetworkStats&) = default;
 };
@@ -112,13 +107,12 @@ struct NetworkStats {
 /// optional loss; respects node liveness (churn). The network plays the role
 /// of the "Internet layer" in the paper's Figure 1.
 ///
-/// The node-facing operations (AddNode/Send/liveness) are virtual: peers
-/// hold a Network* and work unchanged whether it is this single-threaded
-/// transport or a shard lane of the parallel engine (sim/sharded.h). The
-/// indirect call per send is noise next to the delivery record scheduling.
-/// Both engines run the one send policy (Transmit) and the one delivery
-/// policy (Receive) below; each supplies only its random stream, how one
-/// in-flight copy is scheduled and how a flight span ends.
+/// AddNode and Send are virtual: peers hold a Network* and work unchanged
+/// whether it is this transport over a sequence-keyed Simulator or the
+/// content-keyed engine (sim/sharded.h), which derives from it. Both run the
+/// one send policy (Transmit) and the one delivery policy (Deliver) below;
+/// the keyed engine supplies only its random streams, its event keys and
+/// who acts during a delivery.
 ///
 /// Hot-path note: Send() schedules a plain-struct delivery record (not a
 /// capturing lambda) that fits EventFn's inline buffer, and type accounting
@@ -138,10 +132,13 @@ class Network {
   /// The caller retains ownership of `node`, which must outlive the network.
   virtual NodeId AddNode(NetworkNode* node);
 
-  /// Marks a node up/down (churn). Messages to a down node are dropped;
-  /// a down node sends nothing.
-  virtual void SetAlive(NodeId id, bool alive);
-  virtual bool IsAlive(NodeId id) const;
+  /// Marks a node up/down (churn), at any time, from inside an event too.
+  /// Messages to a down node are dropped, including those already in
+  /// flight; a down node sends nothing.
+  void SetAlive(NodeId id, bool alive) {
+    if (id < alive_.size()) alive_[id] = alive ? 1 : 0;
+  }
+  bool IsAlive(NodeId id) const { return id < alive_.size() && alive_[id]; }
 
   /// Sends `body` from `from` to `to`. Delivery is scheduled after a sampled
   /// latency; the message is dropped if either endpoint is dead at send time
@@ -153,16 +150,17 @@ class Network {
                     std::shared_ptr<const MessageBody> body);
 
   /// Installs (or clears, with nullptr) a fault-injection plan. The plan is
-  /// consulted on every Send() after liveness and base loss; it shares the
-  /// network's Rng so faulted runs stay seed-deterministic. The network owns
-  /// the plan; `fault_plan()` lets a scenario driver add windows mid-run.
+  /// consulted on every Send() after liveness and base loss; it draws from
+  /// the send's own stream so faulted runs stay seed-deterministic. The
+  /// network owns the plan; `fault_plan()` lets a scenario driver add
+  /// windows mid-run.
   void SetFaultPlan(std::unique_ptr<FaultPlan> plan) {
     fault_plan_ = std::move(plan);
   }
   FaultPlan* fault_plan() { return fault_plan_.get(); }
 
   /// Number of registered nodes (alive or not).
-  virtual size_t size() const { return nodes_.size(); }
+  size_t size() const { return nodes_.size(); }
 
   Simulator* sim() { return sim_; }
   const NetworkStats& stats() const { return stats_; }
@@ -186,48 +184,41 @@ class Network {
   void PublishMetrics(MetricsRegistry* metrics) const;
 
  protected:
+  /// Bytes of heap held by the node table.
+  size_t NodeTableBytes() const {
+    return nodes_.capacity() * sizeof(NetworkNode*) + alive_.capacity();
+  }
+
   /// The send policy both engines run, in a fixed order: offered-load
   /// accounting; the flight span, parented on the body's explicit ctx or
   /// else on the delivery being handled; the endpoint check, base loss and
   /// the fault plan's partition, burst and duplicate (whose span is a child
   /// of the original's); then each copy's latency draw followed by its spike
-  /// draw, the duplicate's first. `emit(at, body, flight)` schedules one
-  /// in-flight copy for absolute time `at`, so the duplicate is also
-  /// scheduled first. Every draw comes from `rng`: this network's Rng, or
-  /// the acting node's SmallRng on a shard lane.
-  template <typename AnyRng, typename Emit>
-  void Transmit(NodeId from, NodeId to, std::shared_ptr<const MessageBody> body,
-                bool endpoints_alive, SimTime now, AnyRng* rng,
-                LatencyModel* latency, double loss, const FaultPlan* plan,
-                Emit&& emit);
+  /// draw, the duplicate's first, and the copy is scheduled on sim() at once
+  /// — so the duplicate is also scheduled first. Every draw comes from
+  /// `rng`: this network's Rng, or the acting node's SmallRng on the keyed
+  /// engine. `net` is `this`, typed as the engine whose Deliver runs the
+  /// copies.
+  template <typename Net, typename AnyRng>
+  void Transmit(Net* net, NodeId from, NodeId to,
+                std::shared_ptr<const MessageBody> body, AnyRng* rng);
 
-  /// The delivery policy both engines run. `node` is the destination, or
-  /// null when it died in flight (an endpoint drop). Counts the delivery or
-  /// the drop, ends a traced flight through `end_flight(flight, cause)`
-  /// (cause empty on delivery) and runs the handler with the flight as the
-  /// ambient ctx, so anything it sends parents under this hop.
-  template <typename EndFlight>
-  void Receive(NodeId from, NetworkNode* node,
-               std::shared_ptr<const MessageBody> body, TraceCtx flight,
-               EndFlight&& end_flight);
-
-  /// Annotates `flight` with its drop cause (if any) and ends it at `at` on
-  /// this network's tracer.
-  void CloseFlight(TraceCtx flight, SimTime at,
-                   std::optional<DropCause> cause);
+  /// The delivery policy both engines run. Liveness is re-checked here: a
+  /// destination that died in flight is an endpoint drop. Counts the
+  /// delivery or the drop, ends a traced flight at the current simulated
+  /// time and runs the handler with the flight as the ambient ctx, so
+  /// anything it sends parents under this hop.
+  void Deliver(NodeId from, NodeId to, std::shared_ptr<const MessageBody> body,
+               TraceCtx flight);
 
  private:
-  struct NodeSlot {
-    NetworkNode* node = nullptr;
-    bool alive = true;
-  };
-
-  /// The scheduled half of Send(): a 32-byte record, inline in EventFn.
+  /// The scheduled half of a send: a 32-byte record, inline in EventFn.
   /// shared_ptr is not trivially copyable but holds no self-references, so
   /// the record is safe to relocate bytewise (EventFn's memcpy fast path).
+  template <typename Net>
   struct Delivery {
     static constexpr bool kTriviallyRelocatable = true;
-    Network* net;
+    Net* net;
     NodeId from;
     NodeId to;
     std::shared_ptr<const MessageBody> body;
@@ -238,9 +229,10 @@ class Network {
   /// inline buffer — growing it spills every traced delivery to the heap).
   /// Scheduled only for traced sends, so the untraced hot path keeps the
   /// smaller record (16 fewer bytes copied into the event queue per message).
+  template <typename Net>
   struct TracedDelivery {
     static constexpr bool kTriviallyRelocatable = true;
-    Network* net;
+    Net* net;
     NodeId from;
     NodeId to;
     std::shared_ptr<const MessageBody> body;
@@ -248,13 +240,12 @@ class Network {
     void operator()() { net->Deliver(from, to, std::move(body), ctx); }
   };
 
-  void Deliver(NodeId from, NodeId to, std::shared_ptr<const MessageBody> body,
-               TraceCtx ctx);
   /// Offered-load accounting (messages_sent, bytes_sent, per-type counters).
-  /// Counter bumps stay single-threaded per instance: each shard lane is
-  /// owned by one shard worker.
   void CountSend(MsgType type, size_t bytes);
   void CountDrop(MsgType type, DropCause cause);
+  /// Annotates `flight` with its drop cause (if any) and ends it at `at`.
+  void CloseFlight(TraceCtx flight, SimTime at,
+                   std::optional<DropCause> cause);
 
   NetworkStats stats_;
   Tracer* tracer_ = nullptr;
@@ -265,17 +256,19 @@ class Network {
   Rng rng_;
   double loss_probability_;
   std::unique_ptr<FaultPlan> fault_plan_;
-  std::vector<NodeSlot> nodes_;
+  /// Node table, indexed by NodeId. Two arrays, not one of {node, alive}
+  /// pairs: a byte per liveness flag instead of a padded 16-byte slot.
+  std::vector<NetworkNode*> nodes_;
+  std::vector<uint8_t> alive_;
 };
 
-template <typename AnyRng, typename Emit>
-void Network::Transmit(NodeId from, NodeId to,
-                       std::shared_ptr<const MessageBody> body,
-                       bool endpoints_alive, SimTime now, AnyRng* rng,
-                       LatencyModel* latency, double loss,
-                       const FaultPlan* plan, Emit&& emit) {
+template <typename Net, typename AnyRng>
+void Network::Transmit(Net* net, NodeId from, NodeId to,
+                       std::shared_ptr<const MessageBody> body, AnyRng* rng) {
   const size_t bytes = body->SizeBytes();
   const MsgType type = body->TypeTag();
+  const SimTime now = sim_->Now();
+  const FaultPlan* plan = fault_plan_.get();
   CountSend(type, bytes);
 
   // Flight span. No parent — background traffic nobody is tracing — records
@@ -298,14 +291,22 @@ void Network::Transmit(NodeId from, NodeId to,
     if (flight.valid()) CloseFlight(flight, now, cause);
   };
   // Latency, then spike: two statements, so the draw order is fixed.
-  auto delay = [&] {
-    SimTime d = latency->Sample(rng);
-    if (plan != nullptr) d += plan->ExtraLatency(now, rng);
-    return d;
+  auto emit = [&](std::shared_ptr<const MessageBody> copy, TraceCtx span) {
+    SimTime delay = latency_->Sample(rng);
+    if (plan != nullptr) delay += plan->ExtraLatency(now, rng);
+    const SimTime at = now + delay;
+    if (span.valid()) {
+      sim_->ScheduleAt(
+          at, TracedDelivery<Net>{net, from, to, std::move(copy), span});
+    } else {
+      sim_->ScheduleAt(at, Delivery<Net>{net, from, to, std::move(copy)});
+    }
   };
 
-  if (!endpoints_alive) return drop(DropCause::kEndpoint);
-  if (loss > 0 && rng->Bernoulli(loss)) return drop(DropCause::kLoss);
+  if (!IsAlive(from) || !IsAlive(to)) return drop(DropCause::kEndpoint);
+  if (loss_probability_ > 0 && rng->Bernoulli(loss_probability_)) {
+    return drop(DropCause::kLoss);
+  }
   if (plan != nullptr) {
     DropCause cause;
     if (plan->ShouldDrop(now, from, to, rng, &cause)) return drop(cause);
@@ -319,34 +320,10 @@ void Network::Transmit(NodeId from, NodeId to,
         dup = tracer_->StartSpan(type.name(), flight);
         tracer_->Annotate(dup, "duplicate", 1.0);
       }
-      emit(now + delay(), body, dup);
+      emit(body, dup);
     }
   }
-  emit(now + delay(), std::move(body), flight);
-}
-
-template <typename EndFlight>
-void Network::Receive(NodeId from, NetworkNode* node,
-                      std::shared_ptr<const MessageBody> body, TraceCtx flight,
-                      EndFlight&& end_flight) {
-  const bool traced = flight.valid() && tracer_ != nullptr;
-  if (node == nullptr) {
-    CountDrop(body->TypeTag(), DropCause::kEndpoint);
-    if (traced) end_flight(flight, DropCause::kEndpoint);
-    return;
-  }
-  ++stats_.messages_delivered;
-  if (!traced) {
-    // No save/restore: the event loop never nests deliveries, so
-    // delivery_ctx_ is already invalid here and the stores would be dead.
-    node->OnMessage(from, std::move(body));
-    return;
-  }
-  end_flight(flight, std::nullopt);
-  const TraceCtx prev = delivery_ctx_;
-  delivery_ctx_ = flight;
-  node->OnMessage(from, std::move(body));
-  delivery_ctx_ = prev;
+  emit(std::move(body), flight);
 }
 
 }  // namespace gridvine

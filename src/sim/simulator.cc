@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 namespace gridvine {
@@ -23,11 +22,6 @@ void Simulator::ScheduleKeyedAt(SimTime t, uint64_t subkey, EventFn fn) {
     slots_.push_back(std::move(fn));
   }
   Push(MakeEntry(t, subkey, slot));
-}
-
-SimTime Simulator::NextEventTime() const {
-  return heap_.empty() ? std::numeric_limits<SimTime>::infinity()
-                       : heap_.front().time();
 }
 
 bool Simulator::PopBefore(SimTime horizon, uint64_t* subkey, EventFn* fn) {

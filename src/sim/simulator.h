@@ -42,30 +42,27 @@ class Simulator {
   /// Schedules `fn` to run `delay` seconds from now (clamped to >= 0).
   void Schedule(SimTime delay, EventFn fn) { ScheduleAt(now_ + ClampDelay(delay), std::move(fn)); }
 
-  /// Schedules `fn` at absolute time `t` (clamped to >= Now()). Virtual so a
-  /// shard of the parallel engine (sim/sharded.h) can intercept scheduling
-  /// and substitute a content-derived tie-break key; the single-threaded
-  /// engine pays one indirect call per event for the seam.
+  /// Schedules `fn` at absolute time `t` (clamped to >= Now()). Virtual so
+  /// the content-keyed engine (sim/sharded.h) can intercept scheduling and
+  /// substitute a content-derived tie-break key; this engine pays one
+  /// indirect call per event for the seam.
   virtual void ScheduleAt(SimTime t, EventFn fn);
 
   /// Schedules `fn` at `t` with an explicit 64-bit tie-break key in place of
   /// the per-simulator sequence number. Two events at the same time run in
   /// ascending `subkey` order *regardless of scheduling order or heap
-  /// shape* — the property the sharded engine needs for runs to be
-  /// bit-identical across shard counts. Keys must be unique per (t, subkey)
-  /// within one simulator; an instance must use either keyed or sequence
-  /// scheduling exclusively, never a mix (the sequence counter knows nothing
-  /// about foreign keys).
+  /// shape* — how the keyed engine orders events by content. Keys must be
+  /// unique per (t, subkey) within one simulator; an instance must use
+  /// either keyed or sequence scheduling exclusively, never a mix (the
+  /// sequence counter knows nothing about foreign keys).
   void ScheduleKeyedAt(SimTime t, uint64_t subkey, EventFn fn);
-
-  /// Firing time of the earliest pending event, or +infinity when idle.
-  SimTime NextEventTime() const;
 
   /// Removes the earliest event if it fires strictly before `horizon`:
   /// advances the clock to it, moves its callable into `*fn`, stores its
   /// tie-break key (sequence number or ScheduleKeyedAt subkey) in `*subkey`
   /// and counts it as executed. Returns false (touching nothing) otherwise.
-  /// This is the epoch-bounded pop the sharded engine's workers drive.
+  /// The keyed engine's run loop pops through this, so it can act as the
+  /// event's creator and stop short of a global task or a time bound.
   bool PopBefore(SimTime horizon, uint64_t* subkey, EventFn* fn);
 
   /// Advances the clock to `t` if it is ahead (never backwards).

@@ -91,7 +91,9 @@ std::vector<std::string> BioWorkload::ConceptNames() {
 std::string BioWorkload::ValueFor(size_t entity_idx, const Concept& concept_name,
                                   Rng* rng) {
   if (concept_name.name == "accession") {
-    return "A" + std::to_string(10000 + entity_idx);
+    std::string accession = "A";  // appended: see Triple::ToString
+    accession += std::to_string(10000 + entity_idx);
+    return accession;
   }
   if (concept_name.name == "length") {
     return std::to_string(rng->UniformInt(90, 4200));
@@ -107,7 +109,9 @@ BioWorkload::BioWorkload(Options options) : options_(options) {
 
   // Entity population with global URIs and per-concept_name canonical values.
   for (int e = 0; e < options_.num_entities; ++e) {
-    entity_uris_.push_back("ebi:P" + std::to_string(100000 + e));
+    std::string uri = "ebi:P";
+    uri += std::to_string(100000 + e);
+    entity_uris_.push_back(std::move(uri));
     std::map<std::string, std::string> profile;
     for (const auto& concept_name : vocabulary_) {
       profile[concept_name.name] = ValueFor(size_t(e), concept_name, &rng);

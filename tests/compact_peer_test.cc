@@ -2,7 +2,7 @@
 //
 //  * A bare peer builds no QueryFrontend and no DB_p; both appear on first
 //    use (frontend() / first stored triple) on that peer only.
-//  * A 10k-peer sharded deployment stays under a pinned bytes-per-peer
+//  * A 10k-peer keyed-engine deployment stays under a pinned bytes-per-peer
 //    budget, and the network footprint counts frontends and caches.
 //  * Extent-cache validation still sees the first insert into a store that
 //    did not exist when the (negative) entry was cached.
@@ -137,7 +137,6 @@ TEST(CompactPeerTest, TenThousandPeerFootprintUnderBudget) {
   o.num_peers = 10000;
   o.key_depth = 16;
   o.seed = 1;
-  o.shards = 1;
   o.force_sharded = true;
   GridVineNetwork net(o);
   std::vector<Triple> corpus;

@@ -202,13 +202,12 @@ TEST(HealthWatchdogTest, PublishesCumulativeCounters) {
 TEST(HealthWatchdogTest, ViolationEmitsTraceMarkerWhenTracing) {
   Tracer tracer;
   tracer.Enable();
-  TraceView view({&tracer});
   HealthWatchdog dog;
-  dog.SetTracer(&view);
+  dog.SetTracer(&tracer);
   MetricsRegistry m;
   m.Counter("net.messages_delivered") = 5;  // delivered > sent
   dog.Evaluate(1.0, &m);
-  TraceAnalyzer an(view.Snapshot());
+  TraceAnalyzer an(tracer.Snapshot());
   EXPECT_EQ(an.CountNamed("health.violation"), 1u);
   EXPECT_EQ(an.CheckConsistency(), "");
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -351,45 +352,40 @@ TEST(FaultPlanTest, IdlePlanDoesNotPerturbASeededRun) {
 
 // --- Transport parity: one send and delivery policy on both engines --------
 
-/// One engine behind one test interface: the classic Network (shards == 0) or
-/// a ShardedNetwork whose lanes carry the traffic. Sharded mid-run liveness
-/// flips go through ScheduleGlobal, the engine's quiescent-point hook.
+/// One engine behind one test interface: the classic Network over a
+/// Simulator (keyed == false) or the content-keyed ShardedNetwork. Keyed
+/// mid-run liveness flips go through ScheduleGlobal.
 class Transport {
  public:
-  explicit Transport(uint32_t shards, double loss = 0.0) {
-    if (shards == 0) {
+  explicit Transport(bool keyed, double loss = 0.0) {
+    if (keyed) {
+      ShardedNetwork::Options o;
+      o.seed = 7;
+      o.loss_probability = loss;
+      o.latency = std::make_unique<ConstantLatency>(0.1);
+      auto engine = std::make_unique<ShardedNetwork>(std::move(o));
+      engine_ = engine.get();
+      net_ = std::move(engine);
+    } else {
       net_ = std::make_unique<Network>(
           &sim_, std::make_unique<ConstantLatency>(0.1), Rng(7), loss);
       tracer_.SetClock([this] { return sim_.Now(); });
       net_->SetTracer(&tracer_);
-    } else {
-      ShardedNetwork::Options o;
-      o.shards = shards;
-      o.seed = 7;
-      o.loss_probability = loss;
-      o.latency = std::make_unique<ConstantLatency>(0.1);
-      engine_ = std::make_unique<ShardedNetwork>(std::move(o));
     }
   }
 
-  NodeId Add(NetworkNode* node) {
-    return engine_ ? engine_->AddNode(node) : net_->AddNode(node);
-  }
-  void SetAlive(NodeId id, bool alive) {
-    engine_ ? engine_->SetAlive(id, alive) : net_->SetAlive(id, alive);
-  }
+  NodeId Add(NetworkNode* node) { return net_->AddNode(node); }
+  void SetAlive(NodeId id, bool alive) { net_->SetAlive(id, alive); }
   void SetFaultPlan(std::unique_ptr<FaultPlan> plan) {
-    engine_ ? engine_->SetFaultPlan(std::move(plan))
-            : net_->SetFaultPlan(std::move(plan));
+    net_->SetFaultPlan(std::move(plan));
   }
 
-  /// Sends now, as `from` (the sharded engine draws from its stream).
+  /// Sends now, as `from` (the keyed engine draws from its stream).
   void Send(NodeId from, NodeId to, int value, TraceCtx ctx = {}) {
     auto body = std::make_shared<TestMsg>(value);
     body->trace_ctx = ctx;
     if (engine_) {
-      engine_->RunAsNode(from,
-                         [&] { engine_->LaneFor(from)->Send(from, to, body); });
+      engine_->RunAsNode(from, [&] { net_->Send(from, to, body); });
     } else {
       net_->Send(from, to, body);
     }
@@ -397,8 +393,7 @@ class Transport {
   /// Sends at absolute time `t`, from one of `from`'s own events.
   void SendAt(SimTime t, NodeId from, NodeId to, int value) {
     auto send = [this, from, to, value] {
-      Network* net = engine_ ? engine_->LaneFor(from) : net_.get();
-      net->Send(from, to, std::make_shared<TestMsg>(value));
+      net_->Send(from, to, std::make_shared<TestMsg>(value));
     };
     if (engine_) {
       engine_->ScheduleForNode(from, t - engine_->Now(), send);
@@ -409,7 +404,7 @@ class Transport {
   /// Takes `id` down at absolute time `t`.
   void KillAt(SimTime t, NodeId id) {
     if (engine_) {
-      engine_->ScheduleGlobal(t, [this, id] { engine_->SetAlive(id, false); });
+      engine_->ScheduleGlobal(t, [this, id] { net_->SetAlive(id, false); });
     } else {
       sim_.ScheduleAt(t, [this, id] { net_->SetAlive(id, false); });
     }
@@ -417,41 +412,25 @@ class Transport {
 
   void Run() { engine_ ? void(engine_->RunUntilIdle()) : void(sim_.Run()); }
   SimTime Now() const { return engine_ ? engine_->Now() : sim_.Now(); }
-  NetworkStats stats() const {
-    return engine_ ? engine_->AggregateStats() : net_->stats();
-  }
+  NetworkStats stats() const { return net_->stats(); }
 
-  void EnableTracing() {
-    engine_ ? engine_->EnableTracing() : tracer_.Enable();
-  }
-  /// A trace root for traced sends (on shard 0's ring when sharded).
-  TraceCtx Root() {
-    return engine_ ? engine_->TracerForShard(0)->StartTrace("root")
-                   : tracer_.StartTrace("root");
-  }
-  /// The flight spans ("test" messages) recorded on every ring.
+  /// The transport's span ring: ours on the classic network, the engine's
+  /// own on the keyed one.
+  Tracer* ring() { return net_->tracer(); }
+  /// The flight spans ("test" messages) recorded.
   std::vector<Tracer::Span> Flights() {
-    std::vector<Tracer*> rings{&tracer_};
-    if (engine_) rings = engine_->TracerParts();
     std::vector<Tracer::Span> out;
-    for (Tracer* t : rings) {
-      for (const Tracer::Span& s : t->Snapshot()) {
-        if (s.name == "test") out.push_back(s);
-      }
+    for (const Tracer::Span& s : ring()->Snapshot()) {
+      if (s.name == "test") out.push_back(s);
     }
     return out;
-  }
-  /// The ring that records spans opened by `id`'s sends.
-  Tracer* RingOf(NodeId id) {
-    return engine_ ? engine_->TracerForShard(engine_->OwnerShard(id))
-                   : &tracer_;
   }
 
  private:
   Simulator sim_;
   Tracer tracer_;
   std::unique_ptr<Network> net_;
-  std::unique_ptr<ShardedNetwork> engine_;
+  ShardedNetwork* engine_ = nullptr;  // net_, when keyed
 };
 
 std::string Annotation(const Tracer::Span& span, std::string_view key) {
@@ -461,11 +440,12 @@ std::string Annotation(const Tracer::Span& span, std::string_view key) {
   return "";
 }
 
-/// The NetworkTest fault cases above, on shard lanes: same expected counts
-/// and times as the classic network.
+/// The NetworkTest fault cases above, on the keyed engine: same expected
+/// counts and times as the classic network. The parameter is 0 for the
+/// classic network and 1 for the keyed engine.
 class TransportParityTest : public ::testing::TestWithParam<uint32_t> {
  protected:
-  TransportParityTest() : t_(GetParam()) {}
+  TransportParityTest() : t_(GetParam() != 0) {}
   Transport t_;
 };
 
@@ -627,7 +607,7 @@ TEST_P(FlightSpanTest, DroppedFlightSpanIsClosedWithItsCause) {
                                                  {kPartition, "partition"}};
   for (const auto& [fault, cause] : cases) {
     SCOPED_TRACE(cause);
-    Transport t(GetParam(), /*loss=*/fault == kBaseLoss ? 1.0 : 0.0);
+    Transport t(GetParam() != 0, /*loss=*/fault == kBaseLoss ? 1.0 : 0.0);
     Recorder a, b;
     NodeId ida = t.Add(&a);
     NodeId idb = t.Add(&b);
@@ -643,8 +623,8 @@ TEST_P(FlightSpanTest, DroppedFlightSpanIsClosedWithItsCause) {
       plan->AddPartition(part);
     }
     t.SetFaultPlan(std::move(plan));
-    t.EnableTracing();
-    t.Send(ida, idb, 1, t.Root());
+    t.ring()->Enable();
+    t.Send(ida, idb, 1, t.ring()->StartTrace("root"));
     t.Run();
 
     EXPECT_EQ(t.stats().messages_dropped, 1u);
@@ -662,8 +642,8 @@ TEST_P(FlightSpanTest, DuplicateFlightSpanIsAChildOfTheOriginal) {
   auto plan = std::make_unique<FaultPlan>();
   plan->set_duplicate_probability(1.0);
   t_.SetFaultPlan(std::move(plan));
-  t_.EnableTracing();
-  const TraceCtx root = t_.Root();
+  t_.ring()->Enable();
+  const TraceCtx root = t_.ring()->StartTrace("root");
   t_.Send(ida, idb, 1, root);
   t_.Run();
 
@@ -683,14 +663,12 @@ TEST_P(FlightSpanTest, DuplicateFlightSpanIsAChildOfTheOriginal) {
 }
 
 TEST_P(FlightSpanTest, FlightToNodeThatDiesInFlightClosesOnSendersRing) {
-  // With two shards, node 0 and node 1 live on different shards: the flight
-  // opens on node 0's ring, and the drop observed on node 1's shard is
-  // handed back across the barrier to close it there.
+  // The drop is observed at delivery time, on the ring the flight opened on.
   Recorder a, b;
   NodeId ida = t_.Add(&a);
   NodeId idb = t_.Add(&b);
-  t_.EnableTracing();
-  t_.Send(ida, idb, 1, t_.Root());
+  t_.ring()->Enable();
+  t_.Send(ida, idb, 1, t_.ring()->StartTrace("root"));
   t_.KillAt(0.05, idb);
   t_.Run();
 
@@ -698,23 +676,94 @@ TEST_P(FlightSpanTest, FlightToNodeThatDiesInFlightClosesOnSendersRing) {
   std::vector<Tracer::Span> flights = t_.Flights();
   ASSERT_EQ(flights.size(), 1u);
   EXPECT_EQ(Annotation(flights[0], "drop"), "endpoint");
-  EXPECT_DOUBLE_EQ(flights[0].end, 0.1);  // the delivery time, not the barrier
-  size_t on_sender_ring = 0;
-  for (const Tracer::Span& s : t_.RingOf(ida)->Snapshot()) {
-    if (s.span_id == flights[0].span_id) ++on_sender_ring;
-  }
-  EXPECT_EQ(on_sender_ring, 1u);
+  EXPECT_DOUBLE_EQ(flights[0].end, 0.1);  // the delivery time
 }
 
+// "Shards1" names the keyed engine, as it did when the engine had shards.
 std::string EngineName(const ::testing::TestParamInfo<uint32_t>& info) {
-  return info.param == 0 ? std::string("Classic")
-                         : "Shards" + std::to_string(info.param);
+  return info.param == 0 ? "Classic" : "Shards1";
 }
 
-INSTANTIATE_TEST_SUITE_P(Lanes, TransportParityTest, ::testing::Values(1u, 2u),
+INSTANTIATE_TEST_SUITE_P(Lanes, TransportParityTest, ::testing::Values(1u),
                          EngineName);
-INSTANTIATE_TEST_SUITE_P(Engines, FlightSpanTest, ::testing::Values(0u, 1u, 2u),
+INSTANTIATE_TEST_SUITE_P(Engines, FlightSpanTest, ::testing::Values(0u, 1u),
                          EngineName);
+
+// --- The keyed engine's run loop --------------------------------------------
+
+/// A keyed engine with two recorder nodes, 0.1 s apart.
+class ShardedRunLoopTest : public ::testing::Test {
+ protected:
+  ShardedRunLoopTest() : engine_(Options()) {
+    a_ = engine_.AddNode(&ra_);
+    b_ = engine_.AddNode(&rb_);
+  }
+  static ShardedNetwork::Options Options() {
+    ShardedNetwork::Options o;
+    o.seed = 3;
+    o.latency = std::make_unique<ConstantLatency>(0.1);
+    return o;
+  }
+
+  ShardedNetwork engine_;
+  Recorder ra_, rb_;
+  NodeId a_ = 0, b_ = 0;
+};
+
+TEST_F(ShardedRunLoopTest, NothingRunsAfterTheFlagFlips) {
+  bool done = false;
+  std::vector<std::string> ran;
+  engine_.ScheduleForNode(a_, 1.0, [&] {
+    ran.push_back("flip");
+    done = true;
+  });
+  // Due at the same instant (a later key) and just after it: both within
+  // any lookahead window, neither may run before the pump is resumed.
+  engine_.ScheduleForNode(a_, 1.0, [&] { ran.push_back("same"); });
+  engine_.ScheduleForNode(b_, 1.001, [&] { ran.push_back("after"); });
+  EXPECT_EQ(engine_.RunUntilFlag(&done), 1u);
+  EXPECT_EQ(ran, (std::vector<std::string>{"flip"}));
+  EXPECT_DOUBLE_EQ(engine_.Now(), 1.0);
+  EXPECT_EQ(engine_.pending(), 2u);
+  engine_.RunUntilIdle();
+  EXPECT_EQ(ran, (std::vector<std::string>{"flip", "same", "after"}));
+}
+
+TEST_F(ShardedRunLoopTest, SetAliveInsideAnEventDropsADeliveryInFlight) {
+  engine_.RunAsNode(a_, [&] {
+    engine_.Send(a_, b_, std::make_shared<TestMsg>(1));  // lands at 0.1
+  });
+  engine_.ScheduleForNode(a_, 0.05, [&] { engine_.SetAlive(b_, false); });
+  engine_.RunUntilIdle();
+  EXPECT_TRUE(rb_.received.empty());
+  EXPECT_EQ(engine_.stats().drops_endpoint, 1u);
+  EXPECT_EQ(engine_.stats().messages_delivered, 0u);
+}
+
+TEST_F(ShardedRunLoopTest, GlobalTaskRunsBeforeNodeEventsAtItsTime) {
+  std::vector<std::string> ran;
+  engine_.ScheduleForNode(a_, 2.0, [&] { ran.push_back("node"); });
+  engine_.ScheduleGlobal(2.0, [&] {
+    ran.push_back("global@" + std::to_string(engine_.Now()));
+  });
+  engine_.ScheduleForNode(b_, 1.5, [&] { ran.push_back("earlier"); });
+  engine_.RunUntilIdle();
+  EXPECT_EQ(ran, (std::vector<std::string>{"earlier", "global@2.000000",
+                                           "node"}));
+}
+
+TEST_F(ShardedRunLoopTest, RunUntilRunsEventsAtExactlyTAndStopsThere) {
+  std::vector<double> ran;
+  engine_.ScheduleForNode(a_, 1.0, [&] { ran.push_back(engine_.Now()); });
+  const double just_after = std::nextafter(1.0, 2.0);
+  engine_.ScheduleForNode(b_, just_after, [&] { ran.push_back(engine_.Now()); });
+  EXPECT_EQ(engine_.RunUntil(1.0), 1u);
+  EXPECT_EQ(ran, (std::vector<double>{1.0}));
+  EXPECT_EQ(engine_.Now(), 1.0);
+  EXPECT_EQ(engine_.RunUntil(3.0), 1u);
+  EXPECT_EQ(ran, (std::vector<double>{1.0, just_after}));
+  EXPECT_EQ(engine_.Now(), 3.0);
+}
 
 }  // namespace
 }  // namespace gridvine

@@ -18,23 +18,18 @@ namespace gridvine {
 ///
 /// Base message loss comes from Network Options::loss_probability and churn
 /// is a deterministic SetAlive schedule applied between RunUntil slices —
-/// the two fault channels that behave bit-identically on the single-queue
-/// and sharded engines (FaultPlan and ChurnModel are single-queue-only).
+/// two fault channels that GridVineNetwork offers on both engines.
 /// Mid-run one schema evolves (attribute renames), so the soak also covers
 /// agreement maintenance: stale deprecation and re-derivation while peers
 /// keep dropping out.
 struct SelforgSoakScenario {
   uint64_t seed = 1;
-  uint32_t shards = 1;
-  /// Run the sharded engine even at shards == 1 (its threadless reference
-  /// mode). Classic and sharded runs consume random streams differently and
-  /// are not comparable bit-for-bit, so shard-count invariance comparisons
-  /// must anchor the shards=1 run on the sharded engine too.
+  /// Run the content-keyed engine instead of the classic one. The two
+  /// consume random streams differently, so their runs differ.
   bool force_sharded = false;
   int peers = 8;
   int schemas = 5;
-  /// Base message loss (per-node streams on the sharded engine, shard-count
-  /// independent).
+  /// Base message loss (per-node streams on the keyed engine).
   double loss = 0.03;
   /// Pre-seed a ground-truth mapping mesh (all pairs except 1-2) plus one
   /// erroneous mapping "bad-1-2", all automatic: cycles exist from round 0,
@@ -124,7 +119,6 @@ inline SelforgSoakOutcome RunSelforgSoak(const SelforgSoakScenario& sc) {
   no.latency = GridVineNetwork::LatencyKind::kConstant;
   no.latency_param = 0.01;
   no.loss_probability = sc.loss;
-  no.shards = sc.shards;
   no.force_sharded = sc.force_sharded;
   no.peer.query_timeout = 4.0;
   GridVineNetwork net(no);
@@ -188,7 +182,7 @@ inline SelforgSoakOutcome RunSelforgSoak(const SelforgSoakScenario& sc) {
 
   // Churn phase: each round a fresh victim (never the issuer, peer 0) is
   // dead for the slice and the round itself; it rejoins when the next
-  // victim is drawn. SetAlive only between runs — quiescent on both engines.
+  // victim is drawn. SetAlive between RunUntil slices.
   Rng churn_rng(sc.seed * 0x9e3779b97f4a7c15ULL + 29);
   int down = -1;
   std::string evolved_name = workload.schemas()[2].name();

@@ -6,9 +6,9 @@
 //    (events executed, final clock, every counter).
 //  * Batching on vs off => identical result rows for every query (the
 //    envelope is pure transport).
-//  * Shards {1, 2} with the serving stack on => identical result rows (the
-//    batcher and service model run in simulated time, so the sharded engine
-//    contract extends to them).
+//  * Classic and keyed engines with the serving stack on => identical
+//    result rows (the batcher and service model run in simulated time, so
+//    the keyed engine's contract extends to them).
 //  * Cache staleness regression: delete a triple, re-query through the
 //    cache — the row must be gone (store version bumps on Remove, not just
 //    Insert).
@@ -44,14 +44,14 @@ std::vector<Triple> MakeCorpus(int entities) {
 }
 
 GridVineNetwork::Options ServingOptions(uint64_t seed, bool cache, bool batch,
-                                        uint32_t shards) {
+                                        bool keyed = false) {
   GridVineNetwork::Options o;
   o.num_peers = 16;
   o.key_depth = 12;
   o.seed = seed;
   o.latency = GridVineNetwork::LatencyKind::kUniform;
   o.latency_param = 0.01;
-  o.shards = shards;
+  o.force_sharded = keyed;
   o.peer.cache.enabled = cache;
   o.peer.batch.enabled = batch;
   o.peer.service.enabled = true;
@@ -75,7 +75,7 @@ struct BurstOutcome {
 };
 
 BurstOutcome RunBurst(uint64_t seed, bool cache, bool batch) {
-  GridVineNetwork net(ServingOptions(seed, cache, batch, 1));
+  GridVineNetwork net(ServingOptions(seed, cache, batch));
   EXPECT_TRUE(net.InsertTriples(0, MakeCorpus(32)).ok());
   net.Settle();
 
@@ -159,12 +159,11 @@ TEST(ServingDeterminismTest, BatchingAndCacheDoNotChangeResults) {
 }
 
 TEST(ServingDeterminismTest, ShardedEngineMatchesSingleQueue) {
-  // Sequential queries through the frontend wrappers (the sharded engine has
-  // no external clock to schedule a burst on); the serving stack still runs
-  // on every hop. Rows must match across shard counts.
-  std::vector<std::vector<std::string>> per_shards;
-  for (uint32_t shards : {1u, 2u}) {
-    GridVineNetwork net(ServingOptions(9, true, true, shards));
+  // Sequential queries through the frontend wrappers; the serving stack
+  // runs on every hop. Rows must match across the two engines.
+  std::vector<std::vector<std::string>> per_engine;
+  for (bool keyed : {false, true}) {
+    GridVineNetwork net(ServingOptions(9, true, true, keyed));
     EXPECT_TRUE(net.InsertTriples(0, MakeCorpus(24)).ok());
     net.Settle();
     std::vector<std::string> rows;
@@ -179,14 +178,14 @@ TEST(ServingDeterminismTest, ShardedEngineMatchesSingleQueue) {
       std::sort(vals.begin(), vals.end());
       for (auto& v : vals) rows.push_back(std::to_string(i) + ":" + v);
     }
-    per_shards.push_back(std::move(rows));
+    per_engine.push_back(std::move(rows));
   }
-  EXPECT_EQ(per_shards[0], per_shards[1]);
-  EXPECT_FALSE(per_shards[0].empty());
+  EXPECT_EQ(per_engine[0], per_engine[1]);
+  EXPECT_FALSE(per_engine[0].empty());
 }
 
 TEST(ServingCacheTest, RemoveInvalidatesCachedExtents) {
-  GridVineNetwork net(ServingOptions(5, /*cache=*/true, /*batch=*/false, 1));
+  GridVineNetwork net(ServingOptions(5, /*cache=*/true, /*batch=*/false));
   Triple doomed(Term::Uri("x:doomed"), Term::Uri("x:type"),
                 Term::Literal("cat0"));
   ASSERT_TRUE(net.InsertTriples(0, MakeCorpus(16)).ok());
@@ -239,7 +238,7 @@ TEST(ServingCacheTest, DeprecateInvalidatesReformulatedResults) {
   // deprecated (and reappear when it is reactivated), even with the serving
   // caches warm. A stale reformulation or extent entry keyed to the old
   // mapping state would keep serving the B-schema rows.
-  GridVineNetwork net(ServingOptions(5, /*cache=*/true, /*batch=*/false, 1));
+  GridVineNetwork net(ServingOptions(5, /*cache=*/true, /*batch=*/false));
   ASSERT_TRUE(net.InsertSchema(0, Schema("A", "d", {"organism"})).ok());
   ASSERT_TRUE(net.InsertSchema(1, Schema("B", "d", {"organism"})).ok());
   ASSERT_TRUE(net.InsertTriple(0, Triple(Term::Uri("x:a1"),

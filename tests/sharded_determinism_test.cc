@@ -1,13 +1,10 @@
-// The sharded engine's headline guarantee: a run's outcome is bit-identical
-// for ANY shard count, including 1. The conservative-lookahead epochs, the
-// (time, creator, counter) merge rule and per-node SmallRng streams must
-// together make the interleaving of worker threads unobservable. These tests
-// run the same seeded scenario at shards 1 / 2 / 4 and require byte-equal
-// stats, per-operation results and clocks.
+// The keyed engine's determinism: (time, creator, counter) event keys and
+// per-node SmallRng streams fix a run's outcome by content, so the same
+// seeded scenario replays byte-equal stats, per-operation results and
+// clocks, different seeds diverge, and tracing observes without perturbing.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +18,7 @@
 namespace gridvine {
 namespace {
 
-// --- Overlay-level scenario driven directly on ShardedNetwork --------------
+// --- Overlay-level scenario driven directly on the keyed engine ------------
 
 struct OverlayOutcome {
   NetworkStats stats;
@@ -41,12 +38,10 @@ Key BitsKey(Rng* rng, int len) {
   return Key::FromBits(bits).value();
 }
 
-/// A sharded engine with WAN latency: positive MinDelay (the lookahead)
-/// plus a log-normal tail that burns per-node rng draws on every send.
-ShardedNetwork::Options WanEngineOptions(uint64_t seed, uint32_t shards,
-                                         double loss) {
+/// A keyed engine with WAN latency: a log-normal tail that burns per-node
+/// rng draws on every send.
+ShardedNetwork::Options WanEngineOptions(uint64_t seed, double loss) {
   ShardedNetwork::Options so;
-  so.shards = shards;
   so.seed = seed;
   so.loss_probability = loss;
   so.latency = std::make_unique<WanLatency>(0.005, -3.5, 0.8, 0.0, 0.0);
@@ -62,7 +57,7 @@ std::vector<std::unique_ptr<PGridPeer>> BuildOverlay(ShardedNetwork* engine,
   std::vector<std::unique_ptr<PGridPeer>> peers;
   for (size_t i = 0; i < n; ++i) {
     peers.push_back(std::make_unique<PGridPeer>(
-        engine->SimForNext(), engine->LaneForNext(),
+        engine->sim(), engine,
         Mt64Head<1>(rng.engine()())[0], popts));
   }
   std::vector<PGridPeer*> raw;
@@ -72,8 +67,8 @@ std::vector<std::unique_ptr<PGridPeer>> BuildOverlay(ShardedNetwork* engine,
   return peers;
 }
 
-OverlayOutcome RunOverlay(uint64_t seed, uint32_t shards) {
-  ShardedNetwork engine(WanEngineOptions(seed, shards, /*loss=*/0.01));
+OverlayOutcome RunOverlay(uint64_t seed) {
+  ShardedNetwork engine(WanEngineOptions(seed, /*loss=*/0.01));
   const size_t kPeers = 24;
   auto peers = BuildOverlay(&engine, seed, kPeers);
 
@@ -82,8 +77,7 @@ OverlayOutcome RunOverlay(uint64_t seed, uint32_t shards) {
   std::vector<Key> keys;
   for (int i = 0; i < kOps; ++i) keys.push_back(BitsKey(&key_rng, 7));
 
-  // Preallocated result slots: each op's callback (running on its issuer's
-  // shard) writes only its own element — no cross-thread contention.
+  // Preallocated result slots: each op's callback writes its own element.
   std::vector<int> update_hops(size_t(kOps), -1);
   for (int i = 0; i < kOps; ++i) {
     NodeId issuer = NodeId(size_t(i) % kPeers);
@@ -115,7 +109,7 @@ OverlayOutcome RunOverlay(uint64_t seed, uint32_t shards) {
   engine.RunUntilIdle();
 
   OverlayOutcome out;
-  out.stats = engine.AggregateStats();
+  out.stats = engine.stats();
   out.retrieved = std::move(retrieved);
   out.update_hops = std::move(update_hops);
   for (auto& p : peers) out.peer_forwards.push_back(p->counters().forwards);
@@ -124,86 +118,15 @@ OverlayOutcome RunOverlay(uint64_t seed, uint32_t shards) {
   return out;
 }
 
-TEST(ShardedDeterminismTest, OverlayBitIdenticalAcrossShardCounts) {
-  OverlayOutcome one = RunOverlay(4242, 1);
-  OverlayOutcome two = RunOverlay(4242, 2);
-  OverlayOutcome four = RunOverlay(4242, 4);
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, four);
+TEST(ShardedDeterminismTest, OverlayRepeatable) {
+  const OverlayOutcome first = RunOverlay(777);
+  EXPECT_EQ(first, RunOverlay(777));
   // The scenario actually exercised the network.
-  EXPECT_GT(one.stats.messages_sent, 100u);
-}
-
-TEST(ShardedDeterminismTest, OverlayRepeatableAtFourShards) {
-  EXPECT_EQ(RunOverlay(777, 4), RunOverlay(777, 4));
+  EXPECT_GT(first.stats.messages_sent, 100u);
 }
 
 TEST(ShardedDeterminismTest, DifferentSeedsDiverge) {
-  EXPECT_NE(RunOverlay(1, 4), RunOverlay(2, 4));
-}
-
-// --- A value-prefix retrieve across shards ---------------------------------
-
-struct PrefixOutcome {
-  std::vector<std::string> values;
-  NodeId issuer = kInvalidNode;
-  NodeId responder = kInvalidNode;
-  SimTime final_time = 0;
-
-  friend bool operator==(const PrefixOutcome&,
-                         const PrefixOutcome&) = default;
-};
-
-/// One value-prefix retrieve; `*cross_shard` receives the messages it sent
-/// through the cross-shard mailboxes.
-PrefixOutcome RunPrefixRetrieve(uint32_t shards, uint64_t* cross_shard) {
-  ShardedNetwork engine(WanEngineOptions(4242, shards, /*loss=*/0.0));
-  auto peers = BuildOverlay(&engine, 4242, 24);
-  const Key key = Key::FromBits("1011001").value();
-  // Every replica responsible for the key holds the same mixed values, so
-  // the filtered answer does not depend on which one responds.
-  PrefixOutcome out;
-  for (auto& p : peers) {
-    if (!p->IsResponsibleFor(key)) {
-      if (out.issuer == kInvalidNode) out.issuer = p->id();
-      continue;
-    }
-    for (const char* v : {"schema|B", "B#x triple", "schema|A", "mapping|m"}) {
-      p->InsertLocal(key, v);
-    }
-  }
-  const NodeId issuer = out.issuer;
-  const uint64_t before = engine.cross_shard_messages();
-  engine.ScheduleForNode(issuer, 0.01, [&] {
-    peers[issuer]->Retrieve(
-        key,
-        [&out](Result<PGridPeer::LookupResult> r) {
-          if (!r.ok()) return;
-          out.values = r->values;
-          out.responder = r->responder;
-        },
-        "schema|");
-  });
-  engine.RunUntilIdle();
-  *cross_shard = engine.cross_shard_messages() - before;
-  out.final_time = engine.Now();
-  return out;
-}
-
-TEST(ShardedDeterminismTest, PrefixRetrieveCrossesShardsBitIdentical) {
-  uint64_t cross1 = 0, cross2 = 0, cross4 = 0;
-  PrefixOutcome one = RunPrefixRetrieve(1, &cross1);
-  PrefixOutcome two = RunPrefixRetrieve(2, &cross2);
-  PrefixOutcome four = RunPrefixRetrieve(4, &cross4);
-  EXPECT_EQ(one.values, (std::vector<std::string>{"schema|B", "schema|A"}));
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, four);
-  // Issuer and responder differ in parity, so they sit on different shards
-  // at 2 and 4 shards: the request, prefix included, crossed a mailbox.
-  EXPECT_NE(one.issuer % 2, one.responder % 2);
-  EXPECT_EQ(cross1, 0u);
-  EXPECT_GT(cross2, 0u);
-  EXPECT_GT(cross4, 0u);
+  EXPECT_NE(RunOverlay(1), RunOverlay(2));
 }
 
 // --- Full mediation stack through GridVineNetwork --------------------------
@@ -221,15 +144,12 @@ Triple T(const std::string& s, const std::string& p, const std::string& o) {
   return Triple(Term::Uri(s), Term::Uri(p), Term::Literal(o));
 }
 
-StackOutcome RunStack(uint64_t seed, uint32_t shards, bool traced = false,
-                      std::vector<Tracer::Span>* spans_out = nullptr,
-                      bool force_sharded = false) {
+StackOutcome RunStack(uint64_t seed, bool keyed, bool traced = false) {
   GridVineNetwork::Options o;
   o.num_peers = 16;
   o.key_depth = 12;
   o.seed = seed;
-  o.shards = shards;
-  o.force_sharded = force_sharded;
+  o.force_sharded = keyed;
   o.latency = GridVineNetwork::LatencyKind::kWan;
   o.latency_param = 0.01;
   o.loss_probability = 0.01;
@@ -258,77 +178,38 @@ StackOutcome RunStack(uint64_t seed, uint32_t shards, bool traced = false,
                          Term::Literal("%Aspergillus%")));
   auto res = net.SearchFor(5, q, qopts);
   net.Settle();
-  if (spans_out != nullptr) *spans_out = net.tracer()->Snapshot();
+  if (traced) {
+    EXPECT_GT(net.tracer()->size(), 0u);
+  }
 
   StackOutcome out;
-  out.stats = net.engine() != nullptr ? net.engine()->AggregateStats()
-                                      : net.network()->stats();
+  out.stats = net.network()->stats();
   for (const auto& item : res.items) {
     out.query_values.push_back(item.value.value());
   }
   out.final_time = net.Now();
-  // Classic and sharded engines count "events" differently; zero it for
-  // cross-mode comparisons (shards=1 classic vs shards=N).
-  out.events = net.engine() != nullptr ? net.engine()->events_executed() : 0;
+  out.events = keyed ? net.engine()->events_executed()
+                     : net.sim()->events_executed();
   return out;
 }
 
-TEST(ShardedDeterminismTest, MediationStackBitIdenticalAcrossShardCounts) {
-  StackOutcome two = RunStack(99, 2);
-  StackOutcome four = RunStack(99, 4);
-  EXPECT_EQ(two, four);
-  EXPECT_FALSE(two.query_values.empty());
-  EXPECT_GT(two.stats.messages_sent, 50u);
-}
-
 TEST(ShardedDeterminismTest, MediationStackRepeatable) {
-  EXPECT_EQ(RunStack(5, 4), RunStack(5, 4));
+  const StackOutcome first = RunStack(5, /*keyed=*/true);
+  EXPECT_EQ(first, RunStack(5, /*keyed=*/true));
+  EXPECT_FALSE(first.query_values.empty());
+  EXPECT_GT(first.stats.messages_sent, 50u);
 }
 
-// Tracing must be a pure observer: span ids come from plain counters and no
-// tracer call draws from an Rng, so a traced run is bit-identical to the
-// untraced run at every shard count.
+// Tracing must be a pure observer: span ids come from plain counters, span
+// order keys from counters of their own, and no tracer call draws from an
+// Rng, so a traced run is bit-identical to the untraced run on either engine.
 TEST(ShardedDeterminismTest, TracedRunBitIdenticalToUntraced) {
-  for (uint32_t shards : {1u, 2u, 4u}) {
-    StackOutcome off = RunStack(99, shards, /*traced=*/false);
-    StackOutcome on = RunStack(99, shards, /*traced=*/true);
-    EXPECT_EQ(off, on) << "shards=" << shards;
+  for (bool keyed : {false, true}) {
+    StackOutcome off = RunStack(99, keyed, /*traced=*/false);
+    StackOutcome on = RunStack(99, keyed, /*traced=*/true);
+    EXPECT_EQ(off, on) << (keyed ? "keyed" : "classic");
     EXPECT_GT(off.stats.messages_sent, 50u);
   }
-}
-
-// The merged view of a sharded run describes the same execution as the
-// classic run: same spans, same names, at the same simulated instants. (Span
-// ids and order keys differ by construction — shard bases and content-derived
-// counters — so the comparison is on (start, name) content.)
-TEST(ShardedDeterminismTest, MergedTraceMatchesSingleShardRun) {
-  std::vector<Tracer::Span> single, merged;
-  StackOutcome one =
-      RunStack(99, 1, /*traced=*/true, &single, /*force_sharded=*/true);
-  StackOutcome two = RunStack(99, 2, /*traced=*/true, &merged);
-  EXPECT_EQ(one, two);
-  ASSERT_FALSE(single.empty());
-  EXPECT_EQ(single.size(), merged.size());
-
-  TraceAnalyzer ta(merged);
-  EXPECT_EQ(ta.CheckConsistency(), "");
-  EXPECT_EQ(ta.OpenCount(), TraceAnalyzer(single).OpenCount());
-
-  auto content = [](const std::vector<Tracer::Span>& spans) {
-    std::vector<std::pair<double, std::string>> rows;
-    for (const auto& s : spans) rows.emplace_back(s.start, std::string(s.name));
-    std::sort(rows.begin(), rows.end());
-    return rows;
-  };
-  EXPECT_EQ(content(single), content(merged));
-
-  // Sharded ids carry the shard index in the high bits, and both shards
-  // actually recorded spans.
-  bool saw_shard1 = false;
-  for (const auto& s : merged) {
-    if ((s.span_id >> Tracer::kShardIdShift) == 1u) saw_shard1 = true;
-  }
-  EXPECT_TRUE(saw_shard1);
 }
 
 }  // namespace

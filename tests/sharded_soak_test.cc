@@ -1,8 +1,7 @@
-// Chaos soak for the sharded engine: loss bursts, partitions, latency
-// spikes, duplication and churn (SetAlive flips at global tasks) over a
-// multi-shard overlay. Asserts the message-conservation invariant on the
-// aggregated per-lane stats, that the reliability layer drains, and that the
-// whole faulty run stays bit-identical across shard counts.
+// Chaos soak for the keyed engine: loss bursts, partitions, latency spikes,
+// duplication and churn (SetAlive flips at global tasks) over an overlay.
+// Asserts the message-conservation invariant, that the reliability layer
+// drains, and that the whole faulty run replays bit-identically.
 
 #include <gtest/gtest.h>
 
@@ -34,9 +33,8 @@ Key BitsKey(Rng* rng, int len) {
   return Key::FromBits(bits).value();
 }
 
-SoakOutcome RunSoak(uint64_t seed, uint32_t shards) {
+SoakOutcome RunSoak(uint64_t seed) {
   ShardedNetwork::Options so;
-  so.shards = shards;
   so.seed = seed;
   so.loss_probability = 0.02;
   so.latency = std::make_unique<WanLatency>(0.005, -3.2, 1.0, 0.0, 0.0);
@@ -52,7 +50,7 @@ SoakOutcome RunSoak(uint64_t seed, uint32_t shards) {
   std::vector<std::unique_ptr<PGridPeer>> peers;
   for (size_t i = 0; i < kPeers; ++i) {
     peers.push_back(std::make_unique<PGridPeer>(
-        engine.SimForNext(), engine.LaneForNext(),
+        engine.sim(), &engine,
         Mt64Head<1>(rng.engine()())[0], popts));
   }
   std::vector<PGridPeer*> raw;
@@ -76,7 +74,7 @@ SoakOutcome RunSoak(uint64_t seed, uint32_t shards) {
   plan->set_duplicate_probability(0.05);
   engine.SetFaultPlan(std::move(plan));
 
-  // Churn at quiescent global tasks: a few non-issuer peers flap.
+  // Churn at global tasks: a few non-issuer peers flap.
   for (int f = 0; f < 4; ++f) {
     NodeId victim = NodeId(7 + 5 * f);
     engine.ScheduleGlobal(3.0 + 1.5 * f,
@@ -116,7 +114,7 @@ SoakOutcome RunSoak(uint64_t seed, uint32_t shards) {
   engine.RunUntilIdle();
 
   SoakOutcome out;
-  out.stats = engine.AggregateStats();
+  out.stats = engine.stats();
   out.op_status = std::move(op_status);
   out.final_time = engine.Now();
   out.events = engine.events_executed();
@@ -129,7 +127,7 @@ SoakOutcome RunSoak(uint64_t seed, uint32_t shards) {
 }
 
 TEST(ShardedSoakTest, ConservationHoldsUnderFaults) {
-  SoakOutcome out = RunSoak(31337, 4);
+  SoakOutcome out = RunSoak(31337);
   const NetworkStats& s = out.stats;
   // Once idle, every copy that entered the network left it exactly once:
   // originals + fault-plan duplicates == deliveries + drops (all causes).
@@ -143,12 +141,8 @@ TEST(ShardedSoakTest, ConservationHoldsUnderFaults) {
   EXPECT_GT(s.drops_burst + s.drops_partition + s.drops_endpoint, 0u);
 }
 
-TEST(ShardedSoakTest, FaultyRunBitIdenticalAcrossShardCounts) {
-  SoakOutcome one = RunSoak(2024, 1);
-  SoakOutcome two = RunSoak(2024, 2);
-  SoakOutcome four = RunSoak(2024, 4);
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, four);
+TEST(ShardedSoakTest, FaultyRunReplaysBitIdentically) {
+  EXPECT_EQ(RunSoak(2024), RunSoak(2024));
 }
 
 }  // namespace

@@ -155,7 +155,7 @@ TEST(TracerTest, EndSpanAtUsesExplicitTime) {
   t.SetClock([&now] { return now; });
   t.Enable();
   TraceCtx s = t.StartTrace("op");
-  t.EndSpanAt(s, 4.5);  // the ending shard's clock, not ours
+  t.EndSpanAt(s, 4.5);  // the transport's clock, not ours
   auto spans = t.Snapshot();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_DOUBLE_EQ(spans[0].start, 1.0);
@@ -181,17 +181,6 @@ TEST(TracerTest, IntervalRecordsRetroactiveSpan) {
   EXPECT_EQ(ta.CheckConsistency(), "");
 }
 
-TEST(TracerTest, IdBasePutsShardIndexInHighBits) {
-  Tracer t;
-  t.SetIdBase(uint64_t(3) << Tracer::kShardIdShift);
-  t.Enable();
-  TraceCtx s = t.StartTrace("op");
-  EXPECT_EQ(s.span_id >> Tracer::kShardIdShift, 3u);
-  t.EndSpan(s);
-  // Without an order source the order key falls back to the span id.
-  EXPECT_EQ(t.Snapshot()[0].order, s.span_id);
-}
-
 TEST(TracerTest, OrderSourceStampsContentDerivedKeys) {
   Tracer t;
   uint64_t order = 100;
@@ -207,40 +196,36 @@ TEST(TracerTest, OrderSourceStampsContentDerivedKeys) {
   EXPECT_EQ(spans[1].order, 102u);
 }
 
-TEST(TraceViewTest, MergesShardRingsInCausalOrder) {
-  Tracer shard0, shard1;
-  double now = 0.0;
-  uint64_t order = 0;
-  for (Tracer* t : {&shard0, &shard1}) {
-    t->SetClock([&now] { return now; });
-    t->SetOrderSource([&order] { return ++order; });
-  }
-  shard1.SetIdBase(uint64_t(1) << Tracer::kShardIdShift);
-  TraceView view({&shard0, &shard1});
+TEST(TraceViewTest, SnapshotListsRetroactiveIntervalsInCausalOrder) {
+  Tracer ring;
+  double now = 1.0;
+  ring.SetClock([&now] { return now; });
+  TraceView view(&ring);
   view.Enable();
   EXPECT_TRUE(view.enabled());
-  EXPECT_EQ(view.parts(), 2u);
 
-  now = 1.0;
-  TraceCtx root = view.StartTrace("op.search");  // lands on shard 0
-  now = 2.0;
-  TraceCtx hop = shard1.StartSpan("QUERY", root);  // cross-shard child
+  TraceCtx root = ring.StartTrace("op.dispatch");
   now = 3.0;
-  shard1.EndSpan(hop);
-  view.EndSpan(root);  // routed to shard 0 by the id bits
-  EXPECT_EQ(view.size(), 2u);
+  TraceCtx hop = ring.StartSpan("QUERY", root);
+  // Recorded last, but it started before the hop.
+  ring.Interval("op.backoff", root, 2.0, 2.5);
+  ring.EndSpan(hop);
+  ring.EndSpan(root);
+  EXPECT_EQ(view.size(), 3u);
 
   auto spans = view.Snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "op.search");  // parent precedes child
-  EXPECT_EQ(spans[1].name, "QUERY");
-  EXPECT_EQ(spans[1].parent_id, root.span_id);
-  EXPECT_DOUBLE_EQ(spans[0].end, 3.0);
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].name, "op.dispatch");
+  EXPECT_EQ(spans[1].name, "op.backoff");
+  EXPECT_EQ(spans[2].name, "QUERY");
   TraceAnalyzer ta(std::move(spans));
   EXPECT_EQ(ta.CheckConsistency(), "");
+  EXPECT_NE(view.ToChromeJson().find("op.backoff"), std::string::npos);
 
-  std::string json = view.ToChromeJson();
-  EXPECT_NE(json.find("\"shards\": 2"), std::string::npos);
+  view.Clear();
+  EXPECT_EQ(view.size(), 0u);
+  view.Disable();
+  EXPECT_FALSE(view.enabled());
 }
 
 TEST(TraceAnalyzerTest, EvictionDowngradesOrphansToWarnings) {
