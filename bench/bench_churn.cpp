@@ -89,7 +89,7 @@ Trial Run(double downtime_fraction, bool with_maintenance, uint64_t seed,
     sim.RunUntil(sim.Now() + 5);
     Key key = Key::FromUint(uint64_t(q % 64) * 11, 10);
     bool done = false, got = false;
-    peers[0]->Retrieve(key, [&](Result<PGridPeer::LookupResult> r) {
+    peers[0]->Retrieve(key, [&](Result<PGridPeer::Reply> r) {
       done = true;
       if (r.ok() && !r->values.empty()) {
         got = true;

@@ -187,7 +187,10 @@ std::vector<Triple> MakeZipfTriples(size_t entities, double s) {
       triples.emplace_back(
           Term::Uri("w:e" + std::to_string(i)),
           Term::Uri("z:p" + std::to_string(k)),
-          Term::Literal("v" + std::to_string(k) + "_" + std::to_string(i)));
+          Term::Literal(std::string("v")
+                            .append(std::to_string(k))
+                            .append("_")
+                            .append(std::to_string(i))));
     }
   }
   return triples;
@@ -203,7 +206,10 @@ std::vector<Triple> MakeDriftTriples(size_t rows_per_pred) {
       triples.emplace_back(
           Term::Uri("w:d" + std::to_string(i)),
           Term::Uri("z:p" + std::to_string(k)),
-          Term::Literal("d" + std::to_string(k) + "_" + std::to_string(i)));
+          Term::Literal(std::string("d")
+                            .append(std::to_string(k))
+                            .append("_")
+                            .append(std::to_string(i))));
     }
   }
   return triples;

@@ -32,7 +32,7 @@ SchemaMapping RandomMapping(int seq, const std::string& a,
   // network each schema has j = k, so jk − k = k(k−1) >= 0 and the indicator
   // never goes negative — which is why the live self-organizer additionally
   // treats isolated schemas as under-connectivity.)
-  SchemaMapping m("m" + std::to_string(seq), a, b);
+  SchemaMapping m(std::string("m").append(std::to_string(seq)), a, b);
   m.AddCorrespondence(a + "#Organism", b + "#Organism").ok();
   return m;
 }
@@ -41,7 +41,7 @@ void RunTrial(uint64_t seed, int num_schemas, bool print_rows) {
   MappingGraph graph;
   std::vector<std::string> schemas;
   for (int s = 0; s < num_schemas; ++s) {
-    schemas.push_back("S" + std::to_string(s));
+    schemas.push_back(std::string("S").append(std::to_string(s)));
     graph.AddSchema(schemas.back());
   }
 
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     MappingGraph graph;
     std::vector<std::string> schemas;
     for (int s = 0; s < 50; ++s) {
-      schemas.push_back("S" + std::to_string(s));
+      schemas.push_back(std::string("S").append(std::to_string(s)));
       graph.AddSchema(schemas.back());
     }
     Rng rng(seed * 7919);

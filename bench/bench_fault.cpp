@@ -122,7 +122,7 @@ Trial Run(double loss, double offline_fraction, bool retries_on,
     sim.RunUntil(sim.Now() + 5);
     Key key = Key::FromUint(uint64_t(q % 32) * 16, 10);
     bool done = false, got = false;
-    peers[0]->Retrieve(key, [&](Result<PGridPeer::LookupResult> r) {
+    peers[0]->Retrieve(key, [&](Result<PGridPeer::Reply> r) {
       done = true;
       if (r.ok() && !r->values.empty()) {
         got = true;

@@ -57,7 +57,7 @@ void Place(Overlay* o, const std::vector<Key>& keys) {
   for (const Key& k : keys) {
     for (auto* p : o->peers) {
       if (p->path().IsPrefixOf(k)) {
-        p->InsertLocal(k, "t" + std::to_string(seq++));
+        p->InsertLocal(k, std::string("t").append(std::to_string(seq++)));
         break;
       }
     }

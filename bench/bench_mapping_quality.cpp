@@ -44,7 +44,7 @@ TrialResult RunTrial(const BioWorkload& workload, double error_rate,
   int seq = 0;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      std::string id = "m" + std::to_string(seq++);
+      std::string id = std::string("m").append(std::to_string(seq++));
       SchemaMapping m = rng.Bernoulli(error_rate)
                             ? workload.ErroneousMapping(i, j, id, &rng)
                             : workload.GroundTruthMapping(i, j, id);

@@ -17,7 +17,9 @@ namespace {
 /// equivalences plus chords, every mapping covering the Organism attribute.
 MappingGraph BuildGraph(int n) {
   MappingGraph g;
-  auto schema = [](int i) { return "S" + std::to_string(i); };
+  auto schema = [](int i) {
+    return std::string("S").append(std::to_string(i));
+  };
   auto add = [&](int a, int b) {
     SchemaMapping m(schema(a) + ">" + schema(b), schema(a), schema(b));
     m.AddCorrespondence(schema(a) + "#Organism", schema(b) + "#Organism").ok();

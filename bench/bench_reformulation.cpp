@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
 
     // Chain of schemas, one entity each, pairwise mapped.
     for (int s = 0; s <= chain; ++s) {
-      std::string name = "S" + std::to_string(s);
+      std::string name = std::string("S").append(std::to_string(s));
       if (!net.InsertSchema(size_t(s), Schema(name, "bio", {"organism"}))
                .ok()) {
         return 1;
@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
       if (!net.InsertTriple(size_t(s), t).ok()) return 1;
     }
     for (int s = 0; s < chain; ++s) {
-      std::string a = "S" + std::to_string(s);
-      std::string b = "S" + std::to_string(s + 1);
+      std::string a = std::string("S").append(std::to_string(s));
+      std::string b = std::string("S").append(std::to_string(s + 1));
       SchemaMapping m(a + "-" + b, a, b);
       m.AddCorrespondence(a + "#organism", b + "#organism").ok();
       if (!net.InsertMapping(size_t(s), m).ok()) return 1;

@@ -96,7 +96,7 @@ HopStats MeasureHops(Overlay* o, const std::vector<Key>& keys, Rng* rng,
     PGridPeer* issuer = o->peers[size_t(
         rng->UniformInt(0, int64_t(o->peers.size()) - 1))];
     bool done = false;
-    issuer->Retrieve(k, [&](Result<PGridPeer::LookupResult> r) {
+    issuer->Retrieve(k, [&](Result<PGridPeer::Reply> r) {
       if (r.ok()) hops.push_back(r->hops);
       done = true;
     });
@@ -227,7 +227,7 @@ ScaleResult RunScalePoint(size_t n, size_t lookups, uint64_t seed,
     const Key& k = keys[i % keys.size()];
     NodeId issuer = NodeId(lookup_rng.UniformInt(0, int64_t(n) - 1));
     engine.ScheduleForNode(issuer, 0.01 + 0.0005 * double(i), [&, i, issuer, k] {
-      peers[issuer]->Retrieve(k, [&hop_slots, i](Result<PGridPeer::LookupResult> r) {
+      peers[issuer]->Retrieve(k, [&hop_slots, i](Result<PGridPeer::Reply> r) {
         hop_slots[i] = r.ok() ? r->hops : -2;
       });
     });

@@ -68,7 +68,7 @@ PolicyResult RunPolicy(TriplePos position, uint64_t seed) {
       if ((e + s) % 4 != 0) continue;  // sparse description
       triples.emplace_back(
           Term::Uri(subject.str()),
-          Term::Uri("S" + std::to_string(s) + "#attr"),
+          Term::Uri(std::string("S").append(std::to_string(s)) + "#attr"),
           Term::Literal("value " + std::to_string((e * 7 + s) % 50)));
     }
   }

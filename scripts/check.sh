@@ -5,9 +5,10 @@
 #   $ scripts/check.sh            # RelWithDebInfo build + ctest
 #   $ scripts/check.sh --asan     # ASan/UBSan build, runs store, query,
 #                                 # planner, property, rng-seeding, wiring,
-#                                 # P-Grid peer, GridVine peer,
-#                                 # dispatch-branch, executor, serving, fault,
-#                                 # event-engine, trace and selforg tests
+#                                 # routing-table, P-Grid peer, maintenance,
+#                                 # GridVine peer, dispatch-branch, executor,
+#                                 # serving, fault, event-engine, trace and
+#                                 # selforg tests
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -17,11 +18,11 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-san -S . -DGV_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-san -j "$(nproc)" --target triple_store_test query_test \
     planner_test property_test rng_test pgrid_builder_test compact_peer_test \
-    pgrid_peer_test gridvine_peer_test dispatch_branch_test executor_test \
-    serving_test churn_test retry_policy_test network_test \
-    conjunctive_chaos_test simulator_test sharded_determinism_test \
-    sharded_soak_test trace_test incremental_assessor_test \
-    self_organizer_test embedding_test
+    routing_table_test pgrid_peer_test maintenance_test gridvine_peer_test \
+    dispatch_branch_test executor_test serving_test churn_test \
+    retry_policy_test network_test conjunctive_chaos_test simulator_test \
+    sharded_determinism_test sharded_soak_test trace_test \
+    incremental_assessor_test self_organizer_test embedding_test
   export ASAN_OPTIONS=detect_leaks=1
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   ./build-san/tests/triple_store_test
@@ -33,9 +34,14 @@ if [[ "${1:-}" == "--asan" ]]; then
   ./build-san/tests/rng_test
   ./build-san/tests/pgrid_builder_test
   ./build-san/tests/compact_peer_test
+  # The next-hop picks index over a ref level narrowed by an avoid set.
+  ./build-san/tests/routing_table_test
   # The retrieve responder compares caller-supplied value prefixes against
   # arbitrary stored bytes.
   ./build-san/tests/pgrid_peer_test
+  # Maintenance drives the request path under churn: refs evicted and
+  # re-adopted while requests are pending.
+  ./build-san/tests/maintenance_test
   # Query dispatch/reformulation bookkeeping (pending-query lifetimes).
   ./build-san/tests/gridvine_peer_test
   # Re-entrant paths: a dispatch branch that closes inside its own open step

@@ -26,6 +26,11 @@ namespace {
 constexpr SimTime kBatchWindow = 0.005;
 constexpr size_t kBatchMaxItems = 32;
 
+/// How long planning waits for outstanding sketch fetches before degrading
+/// the unanswered regions to the greedy rank. Fetches are single-attempt: a
+/// lost record costs accuracy, never correctness.
+constexpr SimTime kStatsFetchTimeout = 1.0;
+
 /// Parses all of `field` as a decimal number; false on an empty field,
 /// trailing bytes or overflow.
 template <typename T>
@@ -55,9 +60,9 @@ class AckAggregator : public std::enable_shared_from_this<AckAggregator> {
   AckAggregator(int expected, GridVinePeer::StatusCallback cb)
       : remaining_(expected), cb_(std::move(cb)) {}
 
-  PGridPeer::UpdateCallback MakeCallback() {
+  PGridPeer::ReplyCallback MakeCallback() {
     auto self = shared_from_this();
-    return [self](Result<PGridPeer::UpdateOutcome> r) {
+    return [self](Result<PGridPeer::Reply> r) {
       if (!r.ok() && self->first_error_.ok()) self->first_error_ = r.status();
       if (--self->remaining_ == 0) {
         self->cb_(self->first_error_);
@@ -193,7 +198,7 @@ void GridVinePeer::InsertSchema(const Schema& schema, StatusCallback cb) {
     return;
   }
   overlay_->Update(KeyFor(schema.name()), schema.Serialize(),
-                   [cb](Result<PGridPeer::UpdateOutcome> r) {
+                   [cb](Result<PGridPeer::Reply> r) {
                      cb(r.ok() ? Status::OK() : r.status());
                    });
 }
@@ -210,7 +215,7 @@ void GridVinePeer::UpsertSchema(const Schema& schema, StatusCallback cb) {
   std::string fresh = schema.Serialize();
   overlay_->Retrieve(
       KeyFor(schema.name()),
-      [this, schema, fresh, cb](Result<PGridPeer::LookupResult> r) {
+      [this, schema, fresh, cb](Result<PGridPeer::Reply> r) {
         std::vector<std::string> stale;
         if (r.ok()) {
           for (const auto& value : r->values) {
@@ -228,9 +233,8 @@ void GridVinePeer::UpsertSchema(const Schema& schema, StatusCallback cb) {
         }
         InsertSchema(schema, [agg](Status s) {
           agg->MakeCallback()(
-              s.ok()
-                  ? Result<PGridPeer::UpdateOutcome>(PGridPeer::UpdateOutcome{})
-                  : Result<PGridPeer::UpdateOutcome>(s));
+              s.ok() ? Result<PGridPeer::Reply>(PGridPeer::Reply{})
+                     : Result<PGridPeer::Reply>(s));
         });
       },
       kSchemaTag);
@@ -290,9 +294,8 @@ void GridVinePeer::UpsertMapping(const SchemaMapping& mapping,
         }
         InsertMapping(mapping, [agg](Status s) {
           agg->MakeCallback()(
-              s.ok() ? Result<PGridPeer::UpdateOutcome>(
-                           PGridPeer::UpdateOutcome{})
-                     : Result<PGridPeer::UpdateOutcome>(s));
+              s.ok() ? Result<PGridPeer::Reply>(PGridPeer::Reply{})
+                     : Result<PGridPeer::Reply>(s));
         });
       });
 }
@@ -302,7 +305,7 @@ void GridVinePeer::UpsertMapping(const SchemaMapping& mapping,
 void GridVinePeer::FetchSchema(const std::string& name,
                                std::function<void(Result<Schema>)> cb) {
   overlay_->Retrieve(
-      KeyFor(name), [name, cb](Result<PGridPeer::LookupResult> r) {
+      KeyFor(name), [name, cb](Result<PGridPeer::Reply> r) {
         if (!r.ok()) {
           cb(r.status());
           return;
@@ -324,7 +327,7 @@ void GridVinePeer::FetchMappingsFor(
     const std::string& schema,
     std::function<void(Result<std::vector<SchemaMapping>>)> cb) {
   overlay_->Retrieve(
-      KeyFor(schema), [cb](Result<PGridPeer::LookupResult> r) {
+      KeyFor(schema), [cb](Result<PGridPeer::Reply> r) {
         if (!r.ok()) {
           cb(r.status());
           return;
@@ -372,7 +375,7 @@ void GridVinePeer::FetchDomainDegrees(
     const std::string& domain,
     std::function<void(Result<std::vector<DegreeRecord>>)> cb) {
   overlay_->Retrieve(
-      KeyFor(domain), [cb](Result<PGridPeer::LookupResult> r) {
+      KeyFor(domain), [cb](Result<PGridPeer::Reply> r) {
         if (!r.ok()) {
           cb(r.status());
           return;
@@ -1149,7 +1152,7 @@ void GridVinePeer::SearchForConjunctive(
     ++counters_.stats_fetches;
     overlay_->Route(key, std::move(req));
   }
-  sim_->Schedule(options_.stats.fetch_timeout, [this, pid] {
+  sim_->Schedule(kStatsFetchTimeout, [this, pid] {
     auto it = pending_stats_.find(pid);
     if (it == pending_stats_.end()) return;  // every region answered in time
     for (uint64_t rid : it->second.reqs) open_stats_reqs_.erase(rid);

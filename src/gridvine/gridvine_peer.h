@@ -117,10 +117,6 @@ class GridVinePeer {
       bool enabled = false;
       /// Cached sketch staleness bound (simulated seconds).
       SimTime ttl = 60.0;
-      /// How long planning waits for outstanding sketch fetches before
-      /// degrading the unanswered regions to the greedy rank. Fetches are
-      /// single-attempt: a lost record costs accuracy, never correctness.
-      SimTime fetch_timeout = 1.0;
       /// Mid-flight re-optimization threshold: the group's operator suffix
       /// is re-planned when observed/estimated cardinality diverges by this
       /// factor (either direction). <= 0 disables adaptive execution

@@ -12,6 +12,8 @@ constexpr int kEvictAfterMisses = 2;
 /// Evicted contacts are parked and re-probed for re-adoption (a churned
 /// peer that returns gets its slot back). Cap on the parking set.
 constexpr size_t kMaxParked = 32;
+/// Levels holding fewer refs than this trigger the refill phase.
+constexpr int kMinRefsPerLevel = 2;
 
 }  // namespace
 
@@ -60,7 +62,7 @@ void MaintenanceAgent::RunRound() {
   // live contact (best effort — the response handler does the adopting).
   bool needs_refill = false;
   for (int level = 0; level < routing.levels(); ++level) {
-    if (int(routing.RefsAt(level).size()) < options_.min_refs_per_level) {
+    if (int(routing.RefsAt(level).size()) < kMinRefsPerLevel) {
       needs_refill = true;
       break;
     }

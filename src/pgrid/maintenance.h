@@ -17,11 +17,11 @@ namespace gridvine {
 ///
 ///   1. *Probe*: ping every routing reference and replica. References that
 ///      miss the probe deadline are dropped (they may be re-learned later).
-///   2. *Refill*: if any level holds fewer than `min_refs_per_level`
-///      references, ask a random live contact for its contacts (ref gossip),
-///      then probe the unknown candidates; a candidate's ping response
-///      carries its current path, which places it at the correct level of
-///      this peer's table (or in the replica set when paths are equal).
+///   2. *Refill*: if any level holds fewer than two references, ask a
+///      random live contact for its contacts (ref gossip), then probe the
+///      unknown candidates; a candidate's ping response carries its current
+///      path, which places it at the correct level of this peer's table (or
+///      in the replica set when paths are equal).
 ///
 /// The agent is purely local: it sees only message responses, never global
 /// state.
@@ -32,8 +32,6 @@ class MaintenanceAgent {
     SimTime period = 30.0;
     /// A probed peer failing to answer within this window misses the probe.
     SimTime probe_timeout = 3.0;
-    /// Levels holding fewer refs than this trigger the refill phase.
-    int min_refs_per_level = 2;
   };
 
   MaintenanceAgent(Simulator* sim, PGridPeer* peer, Rng rng, Options options);

@@ -2,6 +2,7 @@
 #define GRIDVINE_PGRID_MESSAGES_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,79 +12,62 @@
 
 namespace gridvine {
 
-/// Kinds of mutation carried by an UpdateRequest. The paper folds insertion,
-/// modification and deletion into the single Update() primitive; we
-/// distinguish insert/delete and express modification as delete+insert.
+/// Kinds of mutation carried by an update request. The paper folds
+/// insertion, modification and deletion into the single Update() primitive;
+/// we distinguish insert/delete and express modification as delete+insert.
 enum class UpdateOp { kInsert, kDelete };
 
-/// Routed lookup: travels peer-to-peer via prefix routing until it reaches a
-/// peer responsible for `key`, which answers the `origin` directly with the
-/// values stored under `key` that start with `value_prefix` (all of them
-/// when it is empty).
-struct RetrieveRequest : MessageBody {
-  uint64_t request_id = 0;
-  Key key;
-  std::string value_prefix;
-  NodeId origin = kInvalidNode;
-  int hops = 0;
-
-  MsgType TypeTag() const override {
-    static const MsgType t = MsgType::Intern("pgrid.retrieve");
-    return t;
-  }
-  size_t SizeBytes() const override {
-    return 24 + static_cast<size_t>(key.length()) / 8 + value_prefix.size();
-  }
-};
-
-/// Answer to a RetrieveRequest, sent straight back to the origin.
-struct RetrieveResponse : MessageBody {
-  uint64_t request_id = 0;
-  Key key;
-  Status status;
-  std::vector<std::string> values;
-  int hops = 0;
-  NodeId responder = kInvalidNode;
-
-  MsgType TypeTag() const override {
-    static const MsgType t = MsgType::Intern("pgrid.retrieve_resp");
-    return t;
-  }
-  size_t SizeBytes() const override {
-    size_t n = 32;
-    for (const auto& v : values) n += v.size() + 4;
-    return n;
-  }
-};
-
-/// Routed mutation; like RetrieveRequest but carries a value and an op.
-struct UpdateRequest : MessageBody {
+/// The paper's two primitives on the wire. The request travels
+/// peer-to-peer via prefix routing until it reaches a peer responsible for
+/// `key`, which answers the `origin` directly. Without `op` it is a
+/// Retrieve and `value` is the prefix every returned value starts with
+/// (all values when it is empty); with `op` it is an Update and `value` is
+/// the value inserted or deleted.
+struct KeyRequest : MessageBody {
   uint64_t request_id = 0;
   Key key;
   std::string value;
-  UpdateOp op = UpdateOp::kInsert;
+  std::optional<UpdateOp> op;
   NodeId origin = kInvalidNode;
   int hops = 0;
 
   MsgType TypeTag() const override {
-    static const MsgType t = MsgType::Intern("pgrid.update");
-    return t;
+    if (op) {
+      static const MsgType update = MsgType::Intern("pgrid.update");
+      return update;
+    }
+    static const MsgType retrieve = MsgType::Intern("pgrid.retrieve");
+    return retrieve;
   }
   size_t SizeBytes() const override {
     return 24 + static_cast<size_t>(key.length()) / 8 + value.size();
   }
 };
 
-/// Acknowledgement of an UpdateRequest, sent straight back to the origin.
-struct UpdateAck : MessageBody {
+/// Answer to a KeyRequest, sent straight back to the origin: a retrieve's
+/// values, or an update's acknowledgement (`ack`, a flat 64 bytes). A
+/// non-OK status is a negative answer (routing dead end, hop limit).
+struct KeyResponse : MessageBody {
   uint64_t request_id = 0;
+  bool ack = false;
   Status status;
+  std::vector<std::string> values;
   int hops = 0;
   NodeId responder = kInvalidNode;
 
   MsgType TypeTag() const override {
-    static const MsgType t = MsgType::Intern("pgrid.update_ack");
-    return t;
+    if (ack) {
+      static const MsgType ack_t = MsgType::Intern("pgrid.update_ack");
+      return ack_t;
+    }
+    static const MsgType resp = MsgType::Intern("pgrid.retrieve_resp");
+    return resp;
+  }
+  size_t SizeBytes() const override {
+    if (ack) return MessageBody::SizeBytes();
+    size_t n = 32;
+    for (const auto& v : values) n += v.size() + 4;
+    return n;
   }
 };
 

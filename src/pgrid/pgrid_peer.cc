@@ -1,6 +1,7 @@
 #include "pgrid/pgrid_peer.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -8,6 +9,13 @@
 #include "common/metrics.h"
 
 namespace gridvine {
+
+namespace {
+
+/// Hard bound on a forwarding chain's length (loop safety net).
+constexpr int kMaxHops = 64;
+
+}  // namespace
 
 PGridPeer::PGridPeer(Simulator* sim, Network* network, uint64_t seed,
                      Options options)
@@ -112,36 +120,65 @@ void PGridPeer::ReplicateToSiblings(UpdateOp op, const Key& key,
   }
 }
 
+std::vector<std::string> PGridPeer::Answer(const Key& key,
+                                           const std::string& value,
+                                           std::optional<UpdateOp> op) {
+  if (!op) return LocalLookup(key, value);
+  ApplyLocal(*op, key, value);
+  ReplicateToSiblings(*op, key, value);
+  return {};
+}
+
 // --- Client-side operations -------------------------------------------------
 
-void PGridPeer::Retrieve(const Key& key, RetrieveCallback cb,
+void PGridPeer::Retrieve(const Key& key, ReplyCallback cb,
                          std::string_view value_prefix) {
   ++counters_.retrieves_issued;
+  Issue(key, std::string(value_prefix), std::nullopt, std::move(cb));
+}
+
+void PGridPeer::Update(const Key& key, const std::string& value,
+                       ReplyCallback cb) {
+  ++counters_.updates_issued;
+  Issue(key, value, UpdateOp::kInsert, std::move(cb));
+}
+
+void PGridPeer::Remove(const Key& key, const std::string& value,
+                       ReplyCallback cb) {
+  ++counters_.updates_issued;
+  Issue(key, value, UpdateOp::kDelete, std::move(cb));
+}
+
+void PGridPeer::Issue(const Key& key, std::string value,
+                      std::optional<UpdateOp> op, ReplyCallback cb) {
+  const std::string_view span_name =
+      !op ? "op.retrieve"
+          : (*op == UpdateOp::kInsert ? "op.update" : "op.remove");
   if (IsResponsibleFor(key)) {
     ++counters_.local_answers;
     if (Tracer* tr = LiveTracer()) {
-      tr->Annotate(tr->Instant("op.retrieve", network_->ambient_ctx()),
-                   "local", 1.0);
+      tr->Annotate(tr->Instant(span_name, network_->ambient_ctx()), "local",
+                   1.0);
     }
-    LookupResult res;
-    res.values = LocalLookup(key, value_prefix);
-    res.responder = id_;
-    cb(std::move(res));
+    Reply reply;
+    reply.values = Answer(key, value, op);
+    reply.responder = id_;
+    cb(std::move(reply));
     return;
   }
   uint64_t rid = NextRequestId();
   Pending p;
-  p.kind = Pending::Kind::kRetrieve;
-  p.retrieve_cb = std::move(cb);
+  p.cb = std::move(cb);
   p.key = key;
-  p.value = value_prefix;
+  p.value = std::move(value);
+  p.op = op;
   p.started = sim_->Now();
-  p.span = StartOpSpan("op.retrieve");
+  p.span = StartOpSpan(span_name);
   pending_.emplace(rid, std::move(p));
-  SendRetrieveAttempt(rid);
+  SendAttempt(rid);
 }
 
-void PGridPeer::SendRetrieveAttempt(uint64_t request_id) {
+void PGridPeer::SendAttempt(uint64_t request_id) {
   auto it = pending_.find(request_id);
   if (it == pending_.end()) return;
   Pending& p = it->second;
@@ -150,8 +187,7 @@ void PGridPeer::SendRetrieveAttempt(uint64_t request_id) {
   // consecutive attempts explore disjoint routes, and thereby different
   // members of the destination's replica set σ(p), without ever re-picking
   // a hop this flight already timed out on.
-  auto next = routing_.NextHopAvoiding(p.key, &rng_, p.tried_hops.data(),
-                                       p.tried_hops.size());
+  auto next = routing_.NextHop(p.key, &rng_, p.tried_hops);
   if (!next.has_value()) {
     // No usable ref right now (all evicted under churn). The attempt is
     // still spent: wait out the backoff — maintenance may refill the level —
@@ -165,100 +201,14 @@ void PGridPeer::SendRetrieveAttempt(uint64_t request_id) {
     return;
   }
   p.tried_hops.push_back(*next);
-  auto req = std::make_shared<RetrieveRequest>();
-  req->request_id = request_id;
-  req->key = p.key;
-  req->value_prefix = p.value;
-  req->origin = id_;
-  req->hops = 1;
-  req->trace_ctx = p.span;  // every attempt's hops parent under the op
-  network_->Send(id_, *next, req);
-  ArmTimeout(request_id);
-}
-
-void PGridPeer::Update(const Key& key, const std::string& value,
-                       UpdateCallback cb) {
-  ++counters_.updates_issued;
-  if (IsResponsibleFor(key)) {
-    ++counters_.local_answers;
-    if (Tracer* tr = LiveTracer()) {
-      tr->Annotate(tr->Instant("op.update", network_->ambient_ctx()),
-                   "local", 1.0);
-    }
-    ApplyLocal(UpdateOp::kInsert, key, value);
-    ReplicateToSiblings(UpdateOp::kInsert, key, value);
-    UpdateOutcome out;
-    out.responder = id_;
-    cb(std::move(out));
-    return;
-  }
-  uint64_t rid = NextRequestId();
-  Pending p;
-  p.kind = Pending::Kind::kUpdate;
-  p.update_cb = std::move(cb);
-  p.key = key;
-  p.value = value;
-  p.op = UpdateOp::kInsert;
-  p.started = sim_->Now();
-  p.span = StartOpSpan("op.update");
-  pending_.emplace(rid, std::move(p));
-  SendUpdateAttempt(rid);
-}
-
-void PGridPeer::Remove(const Key& key, const std::string& value,
-                       UpdateCallback cb) {
-  ++counters_.updates_issued;
-  if (IsResponsibleFor(key)) {
-    ++counters_.local_answers;
-    if (Tracer* tr = LiveTracer()) {
-      tr->Annotate(tr->Instant("op.remove", network_->ambient_ctx()),
-                   "local", 1.0);
-    }
-    ApplyLocal(UpdateOp::kDelete, key, value);
-    ReplicateToSiblings(UpdateOp::kDelete, key, value);
-    UpdateOutcome out;
-    out.responder = id_;
-    cb(std::move(out));
-    return;
-  }
-  uint64_t rid = NextRequestId();
-  Pending p;
-  p.kind = Pending::Kind::kUpdate;
-  p.update_cb = std::move(cb);
-  p.key = key;
-  p.value = value;
-  p.op = UpdateOp::kDelete;
-  p.started = sim_->Now();
-  p.span = StartOpSpan("op.remove");
-  pending_.emplace(rid, std::move(p));
-  SendUpdateAttempt(rid);
-}
-
-void PGridPeer::SendUpdateAttempt(uint64_t request_id) {
-  auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
-  ++p.attempts;
-  auto next = routing_.NextHopAvoiding(p.key, &rng_, p.tried_hops.data(),
-                                       p.tried_hops.size());
-  if (!next.has_value()) {
-    ++counters_.routing_dead_ends;
-    if (options_.retry.Exhausted(p.attempts)) {
-      FailPending(request_id, RetryPolicy::TimeoutStatus(p.attempts));
-    } else {
-      ArmTimeout(request_id);
-    }
-    return;
-  }
-  p.tried_hops.push_back(*next);
-  auto req = std::make_shared<UpdateRequest>();
+  auto req = std::make_shared<KeyRequest>();
   req->request_id = request_id;
   req->key = p.key;
   req->value = p.value;
   req->op = p.op;
   req->origin = id_;
   req->hops = 1;
-  req->trace_ctx = p.span;
+  req->trace_ctx = p.span;  // every attempt's hops parent under the op
   network_->Send(id_, *next, req);
   ArmTimeout(request_id);
 }
@@ -293,11 +243,7 @@ void PGridPeer::ArmTimeout(uint64_t request_id) {
         tr->Interval("op.backoff", it2->second.span, armed_at, sim_->Now());
       }
     }
-    if (it2->second.kind == Pending::Kind::kRetrieve) {
-      SendRetrieveAttempt(request_id);
-    } else {
-      SendUpdateAttempt(request_id);
-    }
+    SendAttempt(request_id);
   });
 }
 
@@ -307,11 +253,7 @@ void PGridPeer::FailPending(uint64_t request_id, Status status) {
   Pending p = std::move(it->second);
   pending_.erase(it);
   EndOpSpan(p.span, /*ok=*/false, /*hops=*/-1, p.attempts);
-  if (p.kind == Pending::Kind::kRetrieve) {
-    p.retrieve_cb(std::move(status));
-  } else {
-    p.update_cb(std::move(status));
-  }
+  p.cb(std::move(status));
 }
 
 bool PGridPeer::FailoverPending(uint64_t request_id) {
@@ -323,28 +265,48 @@ bool PGridPeer::FailoverPending(uint64_t request_id) {
   if (Tracer* tr = LiveTracer()) {
     if (it->second.span.valid()) tr->Instant("op.failover", it->second.span);
   }
-  if (it->second.kind == Pending::Kind::kRetrieve) {
-    SendRetrieveAttempt(request_id);
-  } else {
-    SendUpdateAttempt(request_id);
-  }
+  SendAttempt(request_id);
   return true;
 }
 
 // --- Extension interface ------------------------------------------------------
 
 std::optional<NodeId> PGridPeer::PayloadNextHop(const Key& key,
-                                                NodeId exclude) {
-  if (!options_.load_aware) return routing_.NextHop(key, &rng_, exclude);
-  auto next = routing_.NextHopLeastLoaded(
-      key,
+                                                NodeId avoid) {
+  if (!options_.load_aware) return routing_.NextHop(key, &rng_, {&avoid, 1});
+  return LeastLoadedHop(routing_.RefsAt(routing_.DivergenceLevel(key)), avoid);
+}
+
+std::optional<NodeId> PGridPeer::LeastLoadedHop(RefSpan refs, NodeId avoid) {
+  auto next = RoutingTable::LeastLoaded(
+      refs,
       [this](NodeId id) {
         auto it = send_loads_.find(id);
         return it == send_loads_.end() ? uint64_t{0} : it->second;
       },
-      exclude);
+      {&avoid, 1});
   if (next.has_value()) ++send_loads_[*next];
   return next;
+}
+
+template <typename Msg>
+Status PGridPeer::Forward(NodeId from, const Key& key, const Msg& msg) {
+  if (msg.hops >= kMaxHops) return Status::NetworkError("hop limit exceeded");
+  // Ack'd requests always draw (their failover explores alternatives);
+  // fire-and-forget envelopes may go least-loaded.
+  auto next = std::is_same_v<Msg, KeyRequest>
+                  ? routing_.NextHop(key, &rng_, {&from, 1})
+                  : PayloadNextHop(key, from);
+  if (!next.has_value()) {
+    ++counters_.routing_dead_ends;
+    return Status::Unavailable("routing dead end at peer " +
+                               std::to_string(id_));
+  }
+  ++counters_.forwards;
+  auto fwd = std::make_shared<Msg>(msg);
+  fwd->hops = msg.hops + 1;
+  network_->Send(id_, *next, fwd);
+  return Status::OK();
 }
 
 void PGridPeer::Route(const Key& key,
@@ -421,22 +383,8 @@ void PGridPeer::ShowerRange(const RangeEnvelope& env) {
     auto msg = std::make_shared<RangeEnvelope>(env);
     msg->min_level = level + 1;
     msg->hops = env.hops + 1;
-    NodeId target;
-    if (options_.load_aware) {
-      target = refs[0];
-      uint64_t best = 0;
-      for (size_t i = 0; i < refs.size(); ++i) {
-        auto lit = send_loads_.find(refs[i]);
-        uint64_t w = lit == send_loads_.end() ? 0 : lit->second;
-        if (i == 0 || w < best) {
-          target = refs[i];
-          best = w;
-        }
-      }
-      ++send_loads_[target];
-    } else {
-      target = rng_.PickOne(refs);
-    }
+    NodeId target = options_.load_aware ? *LeastLoadedHop(refs, kInvalidNode)
+                                        : rng_.PickOne(refs);
     network_->Send(id_, target, msg);
   }
 }
@@ -448,16 +396,7 @@ void PGridPeer::HandleRangeEnvelope(NodeId from, const RangeEnvelope& env) {
     ShowerRange(env);
     return;
   }
-  if (env.hops >= options_.max_hops) return;
-  auto next = PayloadNextHop(env.prefix, /*exclude=*/from);
-  if (!next.has_value()) {
-    ++counters_.routing_dead_ends;
-    return;
-  }
-  ++counters_.forwards;
-  auto fwd = std::make_shared<RangeEnvelope>(env);
-  fwd->hops = env.hops + 1;
-  network_->Send(id_, *next, fwd);
+  Forward(from, env.prefix, env);  // a failed step drops the envelope
 }
 
 void PGridPeer::HandleRoutedEnvelope(NodeId from, const RoutedEnvelope& env) {
@@ -466,16 +405,7 @@ void PGridPeer::HandleRoutedEnvelope(NodeId from, const RoutedEnvelope& env) {
     if (extension_handler_) extension_handler_(env.origin, env.payload, env.hops);
     return;
   }
-  if (env.hops >= options_.max_hops) return;
-  auto next = PayloadNextHop(env.key, /*exclude=*/from);
-  if (!next.has_value()) {
-    ++counters_.routing_dead_ends;
-    return;
-  }
-  ++counters_.forwards;
-  auto fwd = std::make_shared<RoutedEnvelope>(env);
-  fwd->hops = env.hops + 1;
-  network_->Send(id_, *next, fwd);
+  Forward(from, env.key, env);  // a failed step drops the envelope
 }
 
 // --- Message handling --------------------------------------------------------
@@ -488,25 +418,21 @@ void PGridPeer::OnMessage(NodeId from, std::shared_ptr<const MessageBody> body) 
   } else if (auto* denv = dynamic_cast<const DirectEnvelope*>(body.get())) {
     ++counters_.extension_deliveries;
     if (extension_handler_) extension_handler_(from, denv->payload, -1);
-  } else if (auto* rreq = dynamic_cast<const RetrieveRequest*>(body.get())) {
-    HandleRetrieveRequest(from, *rreq);
-  } else if (auto* rresp = dynamic_cast<const RetrieveResponse*>(body.get())) {
-    HandleRetrieveResponse(*rresp);
-  } else if (auto* ureq = dynamic_cast<const UpdateRequest*>(body.get())) {
-    HandleUpdateRequest(from, *ureq);
-  } else if (auto* uack = dynamic_cast<const UpdateAck*>(body.get())) {
-    HandleUpdateAck(*uack);
+  } else if (auto* req = dynamic_cast<const KeyRequest*>(body.get())) {
+    HandleRequest(from, *req);
+  } else if (auto* resp = dynamic_cast<const KeyResponse*>(body.get())) {
+    HandleResponse(*resp);
   } else if (auto* rupd = dynamic_cast<const ReplicaUpdate*>(body.get())) {
-    HandleReplicaUpdate(*rupd);
+    ApplyLocal(rupd->op, rupd->key, rupd->value);
   } else if (auto* ping = dynamic_cast<const PingRequest*>(body.get())) {
     auto pong = std::make_shared<PingResponse>();
     pong->nonce = ping->nonce;
     pong->path = routing_.path();
     pong->responder = id_;
     network_->Send(id_, ping->origin, pong);
-  } else if (auto* rreq2 = dynamic_cast<const RefsRequest*>(body.get())) {
+  } else if (auto* rreq = dynamic_cast<const RefsRequest*>(body.get())) {
     auto resp = std::make_shared<RefsResponse>();
-    resp->nonce = rreq2->nonce;
+    resp->nonce = rreq->nonce;
     resp->responder_path = routing_.path();
     resp->responder = id_;
     for (int level = 0; level < routing_.levels(); ++level) {
@@ -515,7 +441,7 @@ void PGridPeer::OnMessage(NodeId from, std::shared_ptr<const MessageBody> body) 
       }
     }
     for (NodeId rep : routing_.replicas()) resp->candidates.push_back(rep);
-    network_->Send(id_, rreq2->origin, resp);
+    network_->Send(id_, rreq->origin, resp);
   } else {
     for (auto& handler : protocol_handlers_) {
       if (handler(from, *body)) return;
@@ -525,47 +451,26 @@ void PGridPeer::OnMessage(NodeId from, std::shared_ptr<const MessageBody> body) 
   }
 }
 
-void PGridPeer::HandleRetrieveRequest(NodeId from, const RetrieveRequest& req) {
+void PGridPeer::HandleRequest(NodeId from, const KeyRequest& req) {
+  Status status;
+  std::vector<std::string> values;
   if (IsResponsibleFor(req.key)) {
-    auto resp = std::make_shared<RetrieveResponse>();
-    resp->request_id = req.request_id;
-    resp->key = req.key;
-    resp->values = LocalLookup(req.key, req.value_prefix);
-    resp->hops = req.hops;
-    resp->responder = id_;
-    network_->Send(id_, req.origin, resp);
-    return;
+    values = Answer(req.key, req.value, req.op);
+  } else {
+    status = Forward(from, req.key, req);
+    if (status.ok()) return;  // the responder answers the origin
   }
-  if (req.hops >= options_.max_hops) {
-    auto resp = std::make_shared<RetrieveResponse>();
-    resp->request_id = req.request_id;
-    resp->key = req.key;
-    resp->status = Status::NetworkError("hop limit exceeded");
-    resp->hops = req.hops;
-    resp->responder = id_;
-    network_->Send(id_, req.origin, resp);
-    return;
-  }
-  auto next = routing_.NextHop(req.key, &rng_, /*exclude=*/from);
-  if (!next.has_value()) {
-    ++counters_.routing_dead_ends;
-    auto resp = std::make_shared<RetrieveResponse>();
-    resp->request_id = req.request_id;
-    resp->key = req.key;
-    resp->status = Status::Unavailable("routing dead end at peer " +
-                                       std::to_string(id_));
-    resp->hops = req.hops;
-    resp->responder = id_;
-    network_->Send(id_, req.origin, resp);
-    return;
-  }
-  ++counters_.forwards;
-  auto fwd = std::make_shared<RetrieveRequest>(req);
-  fwd->hops = req.hops + 1;
-  network_->Send(id_, *next, fwd);
+  auto resp = std::make_shared<KeyResponse>();
+  resp->request_id = req.request_id;
+  resp->ack = req.op.has_value();
+  resp->status = std::move(status);
+  resp->values = std::move(values);
+  resp->hops = req.hops;
+  resp->responder = id_;
+  network_->Send(id_, req.origin, resp);
 }
 
-void PGridPeer::HandleRetrieveResponse(const RetrieveResponse& resp) {
+void PGridPeer::HandleResponse(const KeyResponse& resp) {
   auto it = pending_.find(resp.request_id);
   if (it == pending_.end()) return;  // late duplicate after timeout/answer
   if (!resp.status.ok()) {
@@ -579,68 +484,12 @@ void PGridPeer::HandleRetrieveResponse(const RetrieveResponse& resp) {
   Pending p = std::move(it->second);
   pending_.erase(it);
   EndOpSpan(p.span, /*ok=*/true, resp.hops, p.attempts);
-  LookupResult res;
-  res.values = resp.values;
-  res.hops = resp.hops;
-  res.rtt = sim_->Now() - p.started;
-  res.responder = resp.responder;
-  p.retrieve_cb(std::move(res));
-}
-
-void PGridPeer::HandleUpdateRequest(NodeId from, const UpdateRequest& req) {
-  if (IsResponsibleFor(req.key)) {
-    ApplyLocal(req.op, req.key, req.value);
-    ReplicateToSiblings(req.op, req.key, req.value);
-    auto ack = std::make_shared<UpdateAck>();
-    ack->request_id = req.request_id;
-    ack->hops = req.hops;
-    ack->responder = id_;
-    network_->Send(id_, req.origin, ack);
-    return;
-  }
-  if (req.hops >= options_.max_hops) {
-    auto ack = std::make_shared<UpdateAck>();
-    ack->request_id = req.request_id;
-    ack->status = Status::NetworkError("hop limit exceeded");
-    ack->hops = req.hops;
-    ack->responder = id_;
-    network_->Send(id_, req.origin, ack);
-    return;
-  }
-  auto next = routing_.NextHop(req.key, &rng_, /*exclude=*/from);
-  if (!next.has_value()) {
-    ++counters_.routing_dead_ends;
-    auto ack = std::make_shared<UpdateAck>();
-    ack->request_id = req.request_id;
-    ack->status = Status::Unavailable("routing dead end at peer " +
-                                      std::to_string(id_));
-    ack->hops = req.hops;
-    ack->responder = id_;
-    network_->Send(id_, req.origin, ack);
-    return;
-  }
-  ++counters_.forwards;
-  auto fwd = std::make_shared<UpdateRequest>(req);
-  fwd->hops = req.hops + 1;
-  network_->Send(id_, *next, fwd);
-}
-
-void PGridPeer::HandleUpdateAck(const UpdateAck& ack) {
-  auto it = pending_.find(ack.request_id);
-  if (it == pending_.end()) return;
-  if (!ack.status.ok()) {
-    if (FailoverPending(ack.request_id)) return;
-    FailPending(ack.request_id, RetryPolicy::TimeoutStatus(it->second.attempts));
-    return;
-  }
-  Pending p = std::move(it->second);
-  pending_.erase(it);
-  EndOpSpan(p.span, /*ok=*/true, ack.hops, p.attempts);
-  UpdateOutcome out;
-  out.hops = ack.hops;
-  out.rtt = sim_->Now() - p.started;
-  out.responder = ack.responder;
-  p.update_cb(std::move(out));
+  Reply reply;
+  reply.values = resp.values;
+  reply.hops = resp.hops;
+  reply.rtt = sim_->Now() - p.started;
+  reply.responder = resp.responder;
+  p.cb(std::move(reply));
 }
 
 void PGridPeer::PublishMetrics(MetricsRegistry* metrics) const {
@@ -656,10 +505,6 @@ void PGridPeer::PublishMetrics(MetricsRegistry* metrics) const {
       counters_.extension_deliveries;
   metrics->Counter("pgrid.storage_entries") += storage_.size();
   metrics->Gauge("pgrid.pending_requests") += double(pending_.size());
-}
-
-void PGridPeer::HandleReplicaUpdate(const ReplicaUpdate& upd) {
-  ApplyLocal(upd.op, upd.key, upd.value);
 }
 
 size_t PGridPeer::MemoryFootprint() const {

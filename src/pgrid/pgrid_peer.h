@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -35,14 +36,15 @@ namespace gridvine {
 /// non-OK Status (timeout after retries, routing dead ends).
 ///
 /// Reliability layer (the network itself is UDP-like — silent drops, no
-/// error feedback): Retrieve/Update/Remove are ack'd requests governed by
-/// Options::retry — per-attempt timeout with capped exponential backoff and
-/// jitter (drawn from the peer's seeded Rng, so runs replay exactly), and
-/// two failover paths before an attempt is counted lost:
-///   - a retry excludes the previous first hop when alternatives exist, so
-///     consecutive attempts explore disjoint routes (and, since replicas
-///     σ(p) share the destination path, reach replicas of a dead
-///     responsible peer);
+/// error feedback): Retrieve/Update/Remove are ack'd requests on one request
+/// path, governed by Options::retry — per-attempt timeout with capped
+/// exponential backoff and jitter (drawn from the peer's seeded Rng, so runs
+/// replay exactly), and two failover paths before an attempt is counted
+/// lost:
+///   - a re-attempt avoids every first hop the request tried while
+///     alternatives exist, so consecutive attempts explore disjoint routes
+///     (and, since replicas σ(p) share the destination path, reach replicas
+///     of a dead responsible peer);
 ///   - a *negative* response (routing dead end, hop limit) triggers an
 ///     immediate failover re-attempt instead of failing the request, as
 ///     long as attempts remain.
@@ -62,8 +64,6 @@ class PGridPeer : public NetworkNode {
     int max_refs_per_level = 4;
     /// Timeout/backoff/attempt discipline for Retrieve/Update/Remove.
     RetryPolicy retry;
-    /// Hard bound on forwarding chain length (loop safety net).
-    int max_hops = 64;
     /// Load-aware replica selection for fire-and-forget routed payloads
     /// (Route / envelope forwarding — the RemoteScan/BoundScan read path):
     /// instead of a uniform draw over the refs at the divergence level, pick
@@ -74,22 +74,16 @@ class PGridPeer : public NetworkNode {
     bool load_aware = false;
   };
 
-  /// Successful lookup payload.
-  struct LookupResult {
+  /// A successful answer: the values a Retrieve found (an Update's or
+  /// Remove's reply has none), the hops its request took (0 when this peer
+  /// answered itself) and who answered.
+  struct Reply {
     std::vector<std::string> values;
     int hops = 0;
     SimTime rtt = 0;  // issue-to-answer simulated seconds
     NodeId responder = kInvalidNode;
   };
-  using RetrieveCallback = std::function<void(Result<LookupResult>)>;
-
-  /// Successful update acknowledgement payload.
-  struct UpdateOutcome {
-    int hops = 0;
-    SimTime rtt = 0;
-    NodeId responder = kInvalidNode;
-  };
-  using UpdateCallback = std::function<void(Result<UpdateOutcome>)>;
+  using ReplyCallback = std::function<void(Result<Reply>)>;
 
   /// The peer registers itself with `network` on construction. `seed`
   /// seeds its CompactRng stream (routing draws, retry jitter).
@@ -107,15 +101,15 @@ class PGridPeer : public NetworkNode {
   /// kinds under one key fetch one kind without shipping the others. Every
   /// re-attempt re-sends the prefix. Responsible-locally lookups answer
   /// immediately.
-  void Retrieve(const Key& key, RetrieveCallback cb,
+  void Retrieve(const Key& key, ReplyCallback cb,
                 std::string_view value_prefix = {});
 
   /// Inserts `value` under `key` at the responsible peer (and its replicas).
   /// Idempotent: an identical (key, value) pair is stored once.
-  void Update(const Key& key, const std::string& value, UpdateCallback cb);
+  void Update(const Key& key, const std::string& value, ReplyCallback cb);
 
   /// Deletes the (key, value) pair at the responsible peer (and replicas).
-  void Remove(const Key& key, const std::string& value, UpdateCallback cb);
+  void Remove(const Key& key, const std::string& value, ReplyCallback cb);
 
   // --- Extension interface (used by the mediation layer) -------------------
 
@@ -233,15 +227,15 @@ class PGridPeer : public NetworkNode {
   const CompactRng& rng() const { return rng_; }
 
  private:
+  /// One outstanding Retrieve, Update or Remove.
   struct Pending {
-    enum class Kind { kRetrieve, kUpdate } kind;
-    RetrieveCallback retrieve_cb;
-    UpdateCallback update_cb;
+    ReplyCallback cb;
     Key key;
-    /// Update: the value written or removed. Retrieve: the value prefix
-    /// every attempt's request carries.
+    /// What every attempt's request carries: the value written or removed,
+    /// or a retrieve's value prefix.
     std::string value;
-    UpdateOp op = UpdateOp::kInsert;
+    /// Empty for a retrieve.
+    std::optional<UpdateOp> op;
     int attempts = 0;
     SimTime started = 0;
     /// First hop of every attempt so far; a re-attempt avoids ALL of them
@@ -263,9 +257,17 @@ class PGridPeer : public NetworkNode {
   void ApplyLocal(UpdateOp op, const Key& key, const std::string& value);
   void ReplicateToSiblings(UpdateOp op, const Key& key,
                            const std::string& value);
+  /// Serves a request this peer is responsible for: a retrieve's values
+  /// (`value` is the prefix), or an update applied here and pushed to the
+  /// replica set (no values).
+  std::vector<std::string> Answer(const Key& key, const std::string& value,
+                                  std::optional<UpdateOp> op);
 
-  void SendRetrieveAttempt(uint64_t request_id);
-  void SendUpdateAttempt(uint64_t request_id);
+  /// The one request path: answers locally when this peer is responsible,
+  /// else opens a Pending record and sends the first attempt.
+  void Issue(const Key& key, std::string value, std::optional<UpdateOp> op,
+             ReplyCallback cb);
+  void SendAttempt(uint64_t request_id);
   void ArmTimeout(uint64_t request_id);
   void FailPending(uint64_t request_id, Status status);
   /// Negative response for an outstanding request: re-attempt if the retry
@@ -284,17 +286,23 @@ class PGridPeer : public NetworkNode {
   void HandleRangeEnvelope(NodeId from, const RangeEnvelope& env);
   /// Local delivery + level-wise splitting of a range multicast.
   void ShowerRange(const RangeEnvelope& env);
-  void HandleRetrieveRequest(NodeId from, const RetrieveRequest& req);
-  void HandleRetrieveResponse(const RetrieveResponse& resp);
-  void HandleUpdateRequest(NodeId from, const UpdateRequest& req);
-  void HandleUpdateAck(const UpdateAck& ack);
-  void HandleReplicaUpdate(const ReplicaUpdate& upd);
+  void HandleRequest(NodeId from, const KeyRequest& req);
+  void HandleResponse(const KeyResponse& resp);
+
+  /// The one forwarding step, for a request or envelope this peer cannot
+  /// answer: past the hop limit, or with no next hop that avoids the sender
+  /// `from`, it fails and says why; otherwise it sends `msg`'s copy with
+  /// hops + 1 on and returns OK.
+  template <typename Msg>
+  Status Forward(NodeId from, const Key& key, const Msg& msg);
 
   /// Picks the next hop for a fire-and-forget payload: least-loaded when
-  /// Options::load_aware, else one uniform draw (the HEAD behaviour).
-  /// Records the chosen hop in send_loads_ only in load-aware mode.
+  /// Options::load_aware, else one uniform draw.
   std::optional<NodeId> PayloadNextHop(const Key& key,
-                                       NodeId exclude = kInvalidNode);
+                                       NodeId avoid = kInvalidNode);
+  /// The load-aware pick among `refs`; records the chosen hop in
+  /// send_loads_.
+  std::optional<NodeId> LeastLoadedHop(RefSpan refs, NodeId avoid);
 
   Simulator* sim_;
   Network* network_;

@@ -1,8 +1,10 @@
 #ifndef GRIDVINE_PGRID_ROUTING_TABLE_H_
 #define GRIDVINE_PGRID_ROUTING_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/key.h"
@@ -83,115 +85,45 @@ class RoutingTable {
   RefSpan RefsAt(int level) const;
 
   /// Picks the next hop for `key`: the divergence level l of `key` against
-  /// π(p) selects the ref list; a uniformly random entry is returned (random
-  /// choice spreads load over alternatives and lets retries explore different
-  /// paths under churn). Excludes `exclude` if other options exist.
-  /// Returns nullopt when the key belongs to this peer's subtree or no ref
-  /// is known at the divergence level. Allocation-free. Templated over the
-  /// generator so callers holding a big Rng and peers holding a CompactRng
-  /// share one implementation (both draw exactly once).
+  /// π(p) selects the ref list, and one uniform draw picks among its refs
+  /// outside `avoid` (random choice spreads load over alternatives and lets
+  /// retries explore different paths under churn). When every ref is in
+  /// `avoid`, the pick avoids only avoid's last entry, and when that leaves
+  /// nothing, any ref: a retry skips every first hop its request tried, a
+  /// forwarder skips the sender while another ref exists. Returns nullopt
+  /// when the key belongs to this peer's subtree or no ref is known at the
+  /// divergence level; otherwise draws exactly once. Allocation-free.
+  /// Templated over the generator so callers holding a big Rng and peers
+  /// holding a CompactRng share one implementation.
   template <typename RngT>
   std::optional<NodeId> NextHop(const Key& key, RngT* rng,
-                                NodeId exclude = kInvalidNode) const {
-    int l = DivergenceLevel(key);
-    if (l >= path_.length()) return std::nullopt;  // our subtree: local
-    const NodeId* block = LevelBlock(l);
-    const uint8_t count = counts_[static_cast<size_t>(l)];
-    if (count == 0) return std::nullopt;
-    // Prefer an alternative to `exclude` when one exists. Selection draws one
-    // uniform index over the candidate count and scans to it — the same
-    // single Rng draw (hence the same picks, seed for seed) as the old
-    // build-a-candidate-vector-and-PickOne, without the allocation.
-    uint8_t eligible = 0;
-    for (uint8_t i = 0; i < count; ++i) {
-      if (block[i] != exclude) ++eligible;
+                                std::span<const NodeId> avoid = {}) const {
+    const RefSpan refs = RefsAt(DivergenceLevel(key));
+    const size_t eligible = NarrowAvoid(refs, &avoid);
+    if (eligible == 0) return std::nullopt;
+    auto pick = static_cast<size_t>(rng->UniformInt(0, int64_t(eligible) - 1));
+    for (NodeId ref : refs) {
+      if (!Contains(avoid, ref) && pick-- == 0) return ref;
     }
-    const bool filtered = eligible > 0;
-    const uint8_t n = filtered ? eligible : count;
-    auto pick = static_cast<uint8_t>(rng->UniformInt(0, int64_t(n) - 1));
-    for (uint8_t i = 0, seen = 0; i < count; ++i) {
-      if (filtered && block[i] == exclude) continue;
-      if (seen++ == pick) return block[i];
-    }
-    return block[count - 1];  // unreachable
+    return std::nullopt;  // unreachable
   }
 
-  /// NextHop with a *set* of hops to avoid — the per-flight failover variant:
-  /// a retry should not re-try ANY first hop that already timed out for this
-  /// request, not just the latest one. Preference order: refs outside the
-  /// whole tried set; else refs other than the most recent tried hop; else
-  /// any ref. Exactly one rng draw in every path, and with |tried| <= 1 the
-  /// candidate filtering (and hence the draw, seed for seed) is identical to
-  /// single-exclude NextHop.
-  template <typename RngT>
-  std::optional<NodeId> NextHopAvoiding(const Key& key, RngT* rng,
-                                        const NodeId* tried,
-                                        size_t tried_count) const {
-    int l = DivergenceLevel(key);
-    if (l >= path_.length()) return std::nullopt;
-    const NodeId* block = LevelBlock(l);
-    const uint8_t count = counts_[static_cast<size_t>(l)];
-    if (count == 0) return std::nullopt;
-    auto in_tried = [&](NodeId id, size_t upto) {
-      for (size_t t = 0; t < upto; ++t) {
-        if (tried[t] == id) return true;
-      }
-      return false;
-    };
-    uint8_t eligible = 0;
-    for (uint8_t i = 0; i < count; ++i) {
-      if (!in_tried(block[i], tried_count)) ++eligible;
-    }
-    // Fallback ladder when every ref was already tried: avoid at least the
-    // most recent attempt (the HEAD behaviour), then give up on filtering.
-    const NodeId last =
-        tried_count > 0 ? tried[tried_count - 1] : kInvalidNode;
-    enum class Filter { kAll, kLastOnly, kNone } mode = Filter::kAll;
-    if (eligible == 0) {
-      mode = Filter::kLastOnly;
-      eligible = 0;
-      for (uint8_t i = 0; i < count; ++i) {
-        if (block[i] != last) ++eligible;
-      }
-      if (eligible == 0) {
-        mode = Filter::kNone;
-        eligible = count;
-      }
-    }
-    auto pick = static_cast<uint8_t>(rng->UniformInt(0, int64_t(eligible) - 1));
-    for (uint8_t i = 0, seen = 0; i < count; ++i) {
-      if (mode == Filter::kAll && in_tried(block[i], tried_count)) continue;
-      if (mode == Filter::kLastOnly && block[i] == last) continue;
-      if (seen++ == pick) return block[i];
-    }
-    return block[count - 1];  // unreachable
-  }
-
-  /// Deterministic load-aware pick: among the refs at the divergence level
-  /// (minus `exclude` when alternatives exist), returns the one minimizing
-  /// `load(id)`, ties broken by slot order. No rng draw — the caller's
+  /// Deterministic load-aware pick among `refs`, under NextHop's avoid
+  /// ladder: the eligible ref minimizing `load(id)`, ties broken by slot
+  /// order; nullopt when `refs` is empty. No rng draw — the caller's
   /// counters are the only state, which keeps load-aware runs deterministic
   /// and leaves the random-draw sequence untouched when the feature is off.
   template <typename LoadFn>
-  std::optional<NodeId> NextHopLeastLoaded(const Key& key, LoadFn&& load,
-                                           NodeId exclude = kInvalidNode) const {
-    int l = DivergenceLevel(key);
-    if (l >= path_.length()) return std::nullopt;
-    const NodeId* block = LevelBlock(l);
-    const uint8_t count = counts_[static_cast<size_t>(l)];
-    if (count == 0) return std::nullopt;
-    uint8_t eligible = 0;
-    for (uint8_t i = 0; i < count; ++i) {
-      if (block[i] != exclude) ++eligible;
-    }
-    const bool filtered = eligible > 0;
+  static std::optional<NodeId> LeastLoaded(RefSpan refs, LoadFn&& load,
+                                           std::span<const NodeId> avoid = {}) {
+    NarrowAvoid(refs, &avoid);
     std::optional<NodeId> best;
     uint64_t best_load = 0;
-    for (uint8_t i = 0; i < count; ++i) {
-      if (filtered && block[i] == exclude) continue;
-      uint64_t w = load(block[i]);
+    for (NodeId ref : refs) {
+      if (Contains(avoid, ref)) continue;
+      uint64_t w = load(ref);
       if (!best || w < best_load) {
-        best = block[i];
+        best = ref;
         best_load = w;
       }
     }
@@ -217,6 +149,22 @@ class RoutingTable {
   size_t MemoryFootprint() const;
 
  private:
+  static bool Contains(std::span<const NodeId> ids, NodeId id) {
+    return std::find(ids.begin(), ids.end(), id) != ids.end();
+  }
+
+  /// The avoid ladder both picks share: narrows `*avoid` (all of it, then
+  /// its last entry, then nothing) until some ref lies outside it, and
+  /// returns how many do (0 only when `refs` is empty).
+  static size_t NarrowAvoid(RefSpan refs, std::span<const NodeId>* avoid) {
+    for (;;) {
+      size_t outside = 0;
+      for (NodeId ref : refs) outside += Contains(*avoid, ref) ? 0 : 1;
+      if (outside > 0 || avoid->empty()) return outside;
+      *avoid = avoid->last(avoid->size() > 1 ? 1 : 0);
+    }
+  }
+
   NodeId* LevelBlock(int level) {
     return slots_.data() + size_t(level) * size_t(max_refs_per_level_);
   }

@@ -106,7 +106,8 @@ TEST(BindingDeduperTest, WideRowsFallBackToSerializedForm) {
   auto wide = [](const std::string& tail) {
     BindingSet row;
     for (size_t i = 0; i < BindingDeduper::kMaxInlineVars + 2; ++i) {
-      row["v" + std::to_string(i)] = Term::Uri("t" + std::to_string(i));
+      row[std::string("v").append(std::to_string(i))] =
+          Term::Uri(std::string("t").append(std::to_string(i)));
     }
     row["z"] = Term::Uri(tail);
     return row;
@@ -124,7 +125,7 @@ TEST(BindingDeduperTest, InlineAndWideRowsShareIndexSpace) {
   narrow["x"] = Term::Uri("a");
   BindingSet wide;
   for (size_t i = 0; i < BindingDeduper::kMaxInlineVars + 1; ++i) {
-    wide["v" + std::to_string(i)] = Term::Uri("t");
+    wide[std::string("v").append(std::to_string(i))] = Term::Uri("t");
   }
   EXPECT_EQ(dedup.Intern(narrow), 0u);
   EXPECT_EQ(dedup.Intern(wide), 1u);

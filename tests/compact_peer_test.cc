@@ -141,8 +141,8 @@ TEST(CompactPeerTest, TenThousandPeerFootprintUnderBudget) {
   GridVineNetwork net(o);
   std::vector<Triple> corpus;
   for (int e = 0; e < 200; ++e) {
-    corpus.push_back(T("x:e" + std::to_string(e), "x:val",
-                       "v" + std::to_string(e)));
+    corpus.push_back(T(std::string("x:e").append(std::to_string(e)), "x:val",
+                       std::string("v").append(std::to_string(e))));
   }
   ASSERT_TRUE(net.InsertTriples(0, corpus).ok());
   for (size_t g = 0; g < 10; ++g) {

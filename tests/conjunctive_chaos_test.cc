@@ -112,7 +112,6 @@ void RunConjunctiveChaos(const ChaosConfig& cfg) {
   if (cfg.stats) {
     options.peer.stats.enabled = true;
     options.peer.stats.ttl = 20.0;  // sketches go stale mid-run
-    options.peer.stats.fetch_timeout = 1.0;
     options.peer.stats.divergence = 2.0;  // re-optimize aggressively
   }
   GridVineNetwork net(options);

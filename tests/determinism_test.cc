@@ -46,7 +46,7 @@ RunOutcome RunScenario(uint64_t seed) {
   EXPECT_TRUE(net.InsertSchema(1, Schema("B", "d", {"organism"})).ok());
   std::vector<Triple> batch;
   for (int i = 0; i < 20; ++i) {
-    batch.push_back(T("a" + std::to_string(i), "A#organism",
+    batch.push_back(T(std::string("a").append(std::to_string(i)), "A#organism",
                       i % 2 ? "Aspergillus niger" : "Penicillium"));
   }
   net.InsertTriples(2, batch);  // lossy: some acks may time out — still seeded

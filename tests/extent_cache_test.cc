@@ -127,8 +127,9 @@ TEST(ExtentCacheTest, MemoryFootprintTracksEntries) {
 // --- TripleStore version contract -------------------------------------------
 
 Triple T(int i) {
-  return Triple(Term::Uri("s" + std::to_string(i)), Term::Uri("p"),
-                Term::Literal("o" + std::to_string(i)));
+  return Triple(Term::Uri(std::string("s").append(std::to_string(i))),
+                Term::Uri("p"),
+                Term::Literal(std::string("o").append(std::to_string(i))));
 }
 
 TEST(TripleStoreVersionTest, InsertBumpsOncePerNewTriple) {

@@ -248,14 +248,14 @@ inline FaultRunResult RunFaultScenario(const FaultScenario& s) {
     if (is_update) {
       sim.ScheduleAt(when, [issuer, key, rec, i]() {
         issuer->Update(key, "u" + std::to_string(i),
-                       [rec](Result<PGridPeer::UpdateOutcome> r) {
+                       [rec](Result<PGridPeer::Reply> r) {
                          ++rec->resolutions;
                          rec->status = r.status();
                        });
       });
     } else {
       sim.ScheduleAt(when, [issuer, key, rec]() {
-        issuer->Retrieve(key, [rec](Result<PGridPeer::LookupResult> r) {
+        issuer->Retrieve(key, [rec](Result<PGridPeer::Reply> r) {
           ++rec->resolutions;
           rec->status = r.status();
           if (r.ok() && !r->values.empty()) rec->value_hit = true;

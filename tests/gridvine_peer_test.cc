@@ -205,7 +205,7 @@ TEST_F(GridVineTest, RecordFetchesShipOnlyTheirRecordKind) {
         schema.ok() ? schema->Serialize() : schema.status().ToString();
     auto mappings = net_.FetchMappingsFor(issuer, "EMBL");
     if (!mappings.ok()) return out + ";" + mappings.status().ToString();
-    for (const auto& m : *mappings) out += ";" + m.Serialize();
+    for (const auto& m : *mappings) out.append(";").append(m.Serialize());
     auto degrees = net_.FetchDomainDegrees(issuer, "bio");
     if (!degrees.ok()) return out + ";" + degrees.status().ToString();
     for (const auto& d : *degrees) {
@@ -474,7 +474,7 @@ TEST_F(GridVineTest, DegreeDecodeSkipsMalformedRecords) {
         "conn|Z|1x|2|9", "conn|W|-1|2|10", "conn|V|1|2|v11"}) {
     bool done = false;
     net_.peer(3)->overlay()->Update(
-        domain_key, record, [&](Result<PGridPeer::UpdateOutcome> r) {
+        domain_key, record, [&](Result<PGridPeer::Reply> r) {
           EXPECT_TRUE(r.ok()) << r.status();
           done = true;
         });

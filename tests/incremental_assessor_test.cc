@@ -49,7 +49,7 @@ void RunRandomHistory(MappingGraph* graph, IncrementalAssessor* assessor,
       size_t a = size_t(rng.UniformInt(0, int64_t(schemas.size()) - 1));
       size_t b = size_t(rng.UniformInt(0, int64_t(schemas.size()) - 2));
       if (b >= a) ++b;
-      std::string id = "m" + std::to_string(seq++);
+      std::string id = std::string("m").append(std::to_string(seq++));
       auto m = M(id, schemas[a], schemas[b],
                  rng.Bernoulli(0.25) ? kSwapped : kIdentity,
                  rng.Bernoulli(0.15) ? MappingProvenance::kManual

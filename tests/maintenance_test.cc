@@ -94,9 +94,7 @@ TEST(MaintenanceTest, ThinLevelsRefillThroughGossip) {
   Rng rng(4);
   // Build with only 1 ref per level; agents want 2.
   PGridBuilder::BuildBalanced(o.peers, &rng, /*refs_per_level=*/1);
-  MaintenanceAgent::Options opts;
-  opts.min_refs_per_level = 2;
-  o.AttachAgents(opts);
+  o.AttachAgents({});
 
   // Several rounds of gossip + adoption.
   for (int round = 0; round < 5; ++round) {
@@ -125,7 +123,6 @@ TEST(MaintenanceTest, RepairsRoutingAfterMassFailure) {
   PGridBuilder::BuildBalanced(o.peers, &rng, /*refs_per_level=*/3);
   MaintenanceAgent::Options opts;
   opts.period = 20.0;
-  opts.min_refs_per_level = 2;
   o.AttachAgents(opts);
   for (auto& agent : o.agents) agent->Start();
 
@@ -134,7 +131,7 @@ TEST(MaintenanceTest, RepairsRoutingAfterMassFailure) {
     Key key = Key::FromUint(k * 31, 10);
     for (auto* p : o.peers) {
       if (p->path().IsPrefixOf(key)) {
-        p->InsertLocal(key, "v" + std::to_string(k));
+        p->InsertLocal(key, std::string("v").append(std::to_string(k)));
         break;
       }
     }
@@ -180,7 +177,7 @@ TEST(MaintenanceTest, RepairsRoutingAfterMassFailure) {
     ++tried;
     bool got = false;
     bool done = false;
-    o.peers[0]->Retrieve(key, [&](Result<PGridPeer::LookupResult> r) {
+    o.peers[0]->Retrieve(key, [&](Result<PGridPeer::Reply> r) {
       if (r.ok() && !r->values.empty()) got = true;
       done = true;
     });
@@ -240,7 +237,7 @@ TEST(MaintenanceTest, WithChurnAndMaintenanceLookupsKeepWorking) {
     Key key = Key::FromUint(uint64_t(q % 32) * 97, 10);
     bool got = false;
     bool done = false;
-    o.peers[0]->Retrieve(key, [&](Result<PGridPeer::LookupResult> r) {
+    o.peers[0]->Retrieve(key, [&](Result<PGridPeer::Reply> r) {
       got = r.ok() && !r->values.empty();
       done = true;
     });

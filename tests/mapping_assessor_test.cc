@@ -129,7 +129,9 @@ TEST_F(AssessorTest, BadMappingGetsLowestPosterior) {
   // Correct mappings must stay above the deprecation line despite sharing
   // inconsistent cycles with the bad one.
   for (const auto& [id, p] : assessment.posterior) {
-    if (id != "BC") EXPECT_GT(p, 0.5) << id;
+    if (id != "BC") {
+      EXPECT_GT(p, 0.5) << id;
+    }
   }
 }
 

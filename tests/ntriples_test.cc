@@ -36,7 +36,8 @@ TEST(NTriplesTest, EscapesRoundTrip) {
 TEST(NTriplesTest, DocumentRoundTrip) {
   std::vector<Triple> triples;
   for (int i = 0; i < 10; ++i) {
-    triples.emplace_back(Term::Uri("s" + std::to_string(i)), Term::Uri("p"),
+    triples.emplace_back(Term::Uri(std::string("s").append(std::to_string(i))),
+                         Term::Uri("p"),
                          Term::Literal("value " + std::to_string(i)));
   }
   auto parsed = ParseNTriples(ToNTriples(triples));

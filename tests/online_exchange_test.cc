@@ -33,7 +33,8 @@ struct BootstrapNet {
       for (size_t j = 0; j < items_per_peer; ++j) {
         Key k = UniformHash(
             "item-" + std::to_string(i) + "-" + std::to_string(j), 8);
-        peers.back()->InsertLocal(k, "v" + std::to_string(i * 100 + j));
+        peers.back()->InsertLocal(
+            k, std::string("v").append(std::to_string(i * 100 + j)));
       }
     }
     // Seed contacts: a ring plus one long link — connected, sparse.
@@ -200,7 +201,7 @@ TEST(OnlineExchangeTest, FullyMessageDrivenBootstrapServesLookups) {
     bool done = false, got = false;
     const auto& [key, value] = all[i];
     b.peers[i % b.peers.size()]->Retrieve(
-        key, [&](Result<PGridPeer::LookupResult> r) {
+        key, [&](Result<PGridPeer::Reply> r) {
           done = true;
           if (!r.ok()) return;
           for (const auto& v : r->values) {

@@ -223,7 +223,7 @@ TEST(PGridBuilderTest, AdaptivePathsCoverKeySpace) {
   OrderPreservingHash h(10);
   std::vector<Key> sample;
   for (int i = 0; i < 500; ++i) {
-    sample.push_back(h("x" + std::to_string(i * i)));
+    sample.push_back(h(std::string("x").append(std::to_string(i * i))));
   }
   Overlay o(20);
   Rng rng(4);
@@ -361,7 +361,9 @@ TEST(LoadStatsTest, UniformLoadHasZeroGini) {
   Overlay o(4);
   for (auto* p : o.peers) {
     p->SetPath(Key());
-    p->InsertLocal(UniformHash("k" + std::to_string(p->id()), 8), "v");
+    p->InsertLocal(
+        UniformHash(std::string("k").append(std::to_string(p->id())), 8),
+        "v");
   }
   LoadStats s = ComputeLoadStats(o.peers);
   EXPECT_EQ(s.total, 4u);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "pgrid/pgrid_builder.h"
+#include "sim/fault_plan.h"
 
 namespace gridvine {
 namespace {
@@ -58,14 +59,14 @@ TEST_F(PGridPeerTest, Responsibility) {
 
 TEST_F(PGridPeerTest, LocalUpdateAndRetrieve) {
   bool done = false;
-  peer(0)->Update(K("0011"), "hello", [&](Result<PGridPeer::UpdateOutcome> r) {
+  peer(0)->Update(K("0011"), "hello", [&](Result<PGridPeer::Reply> r) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->hops, 0);
     done = true;
   });
   EXPECT_TRUE(done);  // responsible locally: synchronous
   bool got = false;
-  peer(0)->Retrieve(K("0011"), [&](Result<PGridPeer::LookupResult> r) {
+  peer(0)->Retrieve(K("0011"), [&](Result<PGridPeer::Reply> r) {
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(r->values.size(), 1u);
     EXPECT_EQ(r->values[0], "hello");
@@ -77,7 +78,7 @@ TEST_F(PGridPeerTest, LocalUpdateAndRetrieve) {
 TEST_F(PGridPeerTest, RemoteUpdateThenRemoteRetrieve) {
   bool stored = false;
   peer(0)->Update(K("1101"), "v-remote",
-                  [&](Result<PGridPeer::UpdateOutcome> r) {
+                  [&](Result<PGridPeer::Reply> r) {
                     ASSERT_TRUE(r.ok()) << r.status();
                     EXPECT_GE(r->hops, 1);
                     stored = true;
@@ -92,7 +93,7 @@ TEST_F(PGridPeerTest, RemoteUpdateThenRemoteRetrieve) {
 TEST_F(PGridPeerTest, RetrieveFindsRemoteValue) {
   peer(3)->InsertLocal(K("1101"), "stored-at-3");
   bool got = false;
-  peer(0)->Retrieve(K("1101"), [&](Result<PGridPeer::LookupResult> r) {
+  peer(0)->Retrieve(K("1101"), [&](Result<PGridPeer::Reply> r) {
     ASSERT_TRUE(r.ok()) << r.status();
     ASSERT_EQ(r->values.size(), 1u);
     EXPECT_EQ(r->values[0], "stored-at-3");
@@ -109,7 +110,7 @@ TEST_F(PGridPeerTest, PrefixRetrieveCollectsSubtree) {
   peer(1)->InsertLocal(K("0101"), "b");
   peer(1)->InsertLocal(K("0111"), "c");
   bool got = false;
-  peer(1)->Retrieve(K("010"), [&](Result<PGridPeer::LookupResult> r) {
+  peer(1)->Retrieve(K("010"), [&](Result<PGridPeer::Reply> r) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->values.size(), 2u);  // 0100 and 0101, not 0111
     got = true;
@@ -128,7 +129,7 @@ Result<std::vector<std::string>> RetrieveWithPrefix(Simulator* sim,
   Result<std::vector<std::string>> out = Status::Internal("no answer");
   from->Retrieve(
       key,
-      [&out](Result<PGridPeer::LookupResult> r) {
+      [&out](Result<PGridPeer::Reply> r) {
         if (r.ok()) {
           out = std::move(r->values);
         } else {
@@ -203,13 +204,182 @@ TEST_F(PGridPeerTest, ValuePrefixCombinesWithSubtreeKey) {
 }
 
 TEST(RetrieveRequestTest, SizeBytesCountsValuePrefix) {
-  RetrieveRequest req;
+  KeyRequest req;
   req.key = K("1010101010101010");
   const size_t bare = req.SizeBytes();
   EXPECT_EQ(bare, 24u + 2u);
-  req.value_prefix = "mapping|";
+  req.value = "mapping|";
   EXPECT_EQ(req.SizeBytes(), bare + 8u);
+  EXPECT_EQ(req.TypeTag().name(), "pgrid.retrieve");
+  // An update request counts its value as a retrieve counts its prefix.
+  KeyRequest upd;
+  upd.key = req.key;
+  upd.value = "mapping|";
+  upd.op = UpdateOp::kDelete;
+  EXPECT_EQ(upd.SizeBytes(), bare + 8u);
+  EXPECT_EQ(upd.TypeTag().name(), "pgrid.update");
+  // A retrieve reply: 32 bytes plus each value and its 4-byte length.
+  KeyResponse resp;
+  EXPECT_EQ(resp.SizeBytes(), 32u);
+  resp.values = {"ab", "cde"};
+  EXPECT_EQ(resp.SizeBytes(), 32u + (2u + 4u) + (3u + 4u));
+  EXPECT_EQ(resp.TypeTag().name(), "pgrid.retrieve_resp");
+  // An update's ack is a flat 64 bytes.
+  KeyResponse ack;
+  ack.ack = true;
+  EXPECT_EQ(ack.SizeBytes(), 64u);
+  EXPECT_EQ(ack.TypeTag().name(), "pgrid.update_ack");
 }
+
+// --- The request contract, per operation -------------------------------------
+
+/// Retrieve, Update and Remove are ack'd requests with one contract; each
+/// case below runs for all three.
+enum class Op { kRetrieve, kUpdate, kRemove };
+
+/// What an operation's callback saw.
+struct Outcome {
+  int calls = 0;
+  Status status = Status::Internal("no answer");
+  int hops = -1;
+  SimTime rtt = -1;
+  NodeId responder = kInvalidNode;
+};
+
+class RequestContractTest : public PGridPeerTest,
+                            public ::testing::WithParamInterface<Op> {
+ protected:
+  /// Issues the parameter's operation from peer 0 for value "v" under
+  /// K("1101"), which peer 3 (path 11) is responsible for.
+  void Issue(Outcome* out) {
+    auto cb = [out](auto r) {
+      ++out->calls;
+      out->status = r.status();
+      if (r.ok()) {
+        out->hops = r->hops;
+        out->rtt = r->rtt;
+        out->responder = r->responder;
+      }
+    };
+    switch (GetParam()) {
+      case Op::kRetrieve:
+        peer(0)->Retrieve(K("1101"), cb);
+        break;
+      case Op::kUpdate:
+        peer(0)->Update(K("1101"), "v", cb);
+        break;
+      case Op::kRemove:
+        peer(0)->Remove(K("1101"), "v", cb);
+        break;
+    }
+  }
+
+  /// The wire type of the operation's reply.
+  std::string_view ReplyType() const {
+    return GetParam() == Op::kRetrieve ? "pgrid.retrieve_resp"
+                                       : "pgrid.update_ack";
+  }
+};
+
+TEST_P(RequestContractTest, RemoteSuccessReportsHopsAndResponder) {
+  peer(3)->InsertLocal(K("1101"), "v");
+  // Peer 0's only way into "1" is peer 2, which forwards to peer 3.
+  peer(0)->routing()->RemoveRef(peer(3)->id());
+  Outcome out;
+  Issue(&out);
+  sim_.Run();
+  ASSERT_EQ(out.calls, 1);
+  ASSERT_TRUE(out.status.ok()) << out.status;
+  EXPECT_EQ(out.hops, 2);
+  EXPECT_EQ(out.responder, peer(3)->id());
+  EXPECT_NEAR(out.rtt, 3 * 0.05, 1e-9);  // two hops there, one back
+  EXPECT_EQ(peer(2)->counters().forwards, 1u);
+  EXPECT_EQ(peer(0)->PendingRequests(), 0u);
+  // The responder applied the operation: only Remove drops the pair.
+  EXPECT_EQ(peer(3)->StorageSize(), GetParam() == Op::kRemove ? 0u : 1u);
+}
+
+TEST_P(RequestContractTest, DeadRegionTimesOutAfterMaxAttempts) {
+  net_.SetAlive(peer(2)->id(), false);
+  net_.SetAlive(peer(3)->id(), false);  // the whole "1" subtree is gone
+  Outcome out;
+  Issue(&out);
+  sim_.Run();
+  ASSERT_EQ(out.calls, 1);
+  EXPECT_TRUE(out.status.IsTimeout()) << out.status;
+  // max_attempts = 2: the first timeout retries, the second one fails.
+  EXPECT_EQ(peer(0)->counters().timeouts, 2u);
+  EXPECT_EQ(peer(0)->counters().retries, 1u);
+  EXPECT_EQ(peer(0)->counters().failovers, 0u);
+  EXPECT_EQ(peer(0)->PendingRequests(), 0u);
+}
+
+TEST_P(RequestContractTest, NegativeReplyFailsOverToUntriedFirstHop) {
+  peer(3)->InsertLocal(K("1101"), "v");
+  // Peer 2 knows no way into "11": a request reaching it is a dead end.
+  peer(2)->routing()->RemoveRef(peer(3)->id());
+  // The first attempt can only go through peer 2; peer 0 learns of peer 3
+  // before the negative reply comes back.
+  peer(0)->routing()->RemoveRef(peer(3)->id());
+  sim_.Schedule(0.01, [this] { peer(0)->routing()->AddRef(0, peer(3)->id()); });
+  Outcome out;
+  Issue(&out);
+  sim_.Run();
+  ASSERT_EQ(out.calls, 1);
+  ASSERT_TRUE(out.status.ok()) << out.status;
+  EXPECT_EQ(peer(2)->counters().routing_dead_ends, 1u);
+  EXPECT_EQ(peer(0)->counters().failovers, 1u);
+  EXPECT_EQ(peer(0)->counters().retries, 0u);
+  EXPECT_EQ(peer(0)->counters().timeouts, 0u);
+  // The failover went straight to the untried peer 3, without waiting out
+  // the ~2 s attempt timeout: two round trips in all.
+  EXPECT_EQ(out.responder, peer(3)->id());
+  EXPECT_EQ(out.hops, 1);
+  EXPECT_NEAR(out.rtt, 4 * 0.05, 1e-9);
+}
+
+TEST_P(RequestContractTest, ReplyAfterResolutionIsDropped) {
+  peer(3)->InsertLocal(K("1101"), "v");
+  // Whatever is sent in the first second arrives 5 s late: the first
+  // attempt times out (~2 s), the retry resolves the operation, and the
+  // first attempt's reply comes in ~3 s after that.
+  auto plan = std::make_unique<FaultPlan>();
+  FaultPlan::LatencySpike spike;
+  spike.start = 0.0;
+  spike.end = 1.0;
+  spike.extra = 5.0;
+  plan->AddLatencySpike(spike);
+  net_.SetFaultPlan(std::move(plan));
+  Outcome out;
+  Issue(&out);
+  sim_.Run();
+  EXPECT_EQ(out.calls, 1);
+  EXPECT_TRUE(out.status.ok()) << out.status;
+  EXPECT_LT(out.rtt, 5.0);
+  EXPECT_EQ(peer(0)->counters().timeouts, 1u);
+  EXPECT_EQ(peer(0)->counters().retries, 1u);
+  EXPECT_EQ(peer(0)->PendingRequests(), 0u);
+  // Both attempts were answered and both replies delivered; the late one
+  // found nothing pending.
+  EXPECT_EQ(net_.stats().MessagesForType(ReplyType()), 2u);
+  EXPECT_EQ(net_.stats().messages_dropped, 0u);
+  EXPECT_EQ(peer(3)->StorageSize(), GetParam() == Op::kRemove ? 0u : 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(EachOp, RequestContractTest,
+                         ::testing::Values(Op::kRetrieve, Op::kUpdate,
+                                           Op::kRemove),
+                         [](const ::testing::TestParamInfo<Op>& info) {
+                           switch (info.param) {
+                             case Op::kRetrieve:
+                               return "Retrieve";
+                             case Op::kUpdate:
+                               return "Update";
+                             case Op::kRemove:
+                               return "Remove";
+                           }
+                           return "Unknown";
+                         });
 
 TEST_F(PGridPeerTest, InsertIsIdempotent) {
   peer(0)->InsertLocal(K("0000"), "x");
@@ -221,7 +391,7 @@ TEST_F(PGridPeerTest, InsertIsIdempotent) {
 TEST_F(PGridPeerTest, RemoveDeletesRemotely) {
   peer(3)->InsertLocal(K("1110"), "doomed");
   bool removed = false;
-  peer(0)->Remove(K("1110"), "doomed", [&](Result<PGridPeer::UpdateOutcome> r) {
+  peer(0)->Remove(K("1110"), "doomed", [&](Result<PGridPeer::Reply> r) {
     ASSERT_TRUE(r.ok()) << r.status();
     removed = true;
   });
@@ -234,7 +404,7 @@ TEST_F(PGridPeerTest, RetrieveTimesOutWhenRegionDead) {
   net_.SetAlive(peer(3)->id(), false);
   net_.SetAlive(peer(2)->id(), false);  // whole "1" subtree gone
   bool failed = false;
-  peer(0)->Retrieve(K("1100"), [&](Result<PGridPeer::LookupResult> r) {
+  peer(0)->Retrieve(K("1100"), [&](Result<PGridPeer::Reply> r) {
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsTimeout()) << r.status();
     failed = true;
@@ -250,7 +420,7 @@ TEST_F(PGridPeerTest, UpdateIsReplicatedToReplicaSet) {
   peer(3)->routing()->AddReplica(peer(2)->id());
   bool done = false;
   peer(0)->Update(K("1111"), "copied",
-                  [&](Result<PGridPeer::UpdateOutcome> r) {
+                  [&](Result<PGridPeer::Reply> r) {
                     ASSERT_TRUE(r.ok()) << r.status();
                     done = true;
                   });
@@ -271,7 +441,7 @@ TEST_F(PGridPeerTest, EvictForeignEntries) {
 
 TEST_F(PGridPeerTest, CountersTrackTraffic) {
   peer(3)->InsertLocal(K("1100"), "v");
-  peer(0)->Retrieve(K("1100"), [](Result<PGridPeer::LookupResult>) {});
+  peer(0)->Retrieve(K("1100"), [](Result<PGridPeer::Reply>) {});
   sim_.Run();
   EXPECT_EQ(peer(0)->counters().retrieves_issued, 1u);
 }

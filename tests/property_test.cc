@@ -229,10 +229,12 @@ TEST_P(JoinDifferentialTest, HashJoinMatchesNestedLoop) {
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(store
                     .Insert(Triple(
-                        Term::Uri("e" + std::to_string(rng.UniformInt(0, 40))),
-                        Term::Uri("p" + std::to_string(rng.UniformInt(0, 3))),
-                        Term::Literal("v" + std::to_string(
-                                               rng.UniformInt(0, 15)))))
+                        Term::Uri(std::string("e").append(
+                            std::to_string(rng.UniformInt(0, 40)))),
+                        Term::Uri(std::string("p").append(
+                            std::to_string(rng.UniformInt(0, 3)))),
+                        Term::Literal(std::string("v").append(
+                            std::to_string(rng.UniformInt(0, 15))))))
                     .ok());
   }
   for (int q = 0; q < 20; ++q) {

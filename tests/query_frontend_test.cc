@@ -17,8 +17,8 @@ namespace gridvine {
 namespace {
 
 Triple T(int i, const std::string& val) {
-  return Triple(Term::Uri("s" + std::to_string(i)), Term::Uri("x:p"),
-                Term::Literal(val));
+  return Triple(Term::Uri(std::string("s").append(std::to_string(i))),
+                Term::Uri("x:p"), Term::Literal(val));
 }
 
 TEST(QueryFrontendTest, ShedsWithOverloadWhenQueueFull) {
@@ -96,7 +96,8 @@ TEST(QueryFrontendTest, ConjunctiveSubmissionsShareTheSameLimits) {
   std::vector<Triple> batch;
   for (int i = 0; i < 4; ++i) {
     batch.push_back(T(i, "v"));
-    batch.emplace_back(Term::Uri("s" + std::to_string(i)), Term::Uri("x:size"),
+    batch.emplace_back(Term::Uri(std::string("s").append(std::to_string(i))),
+                       Term::Uri("x:size"),
                        Term::Literal(std::to_string(i % 2)));
   }
   ASSERT_TRUE(net.InsertTriples(0, batch).ok());

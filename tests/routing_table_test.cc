@@ -82,8 +82,9 @@ TEST(RoutingTableTest, NextHopAvoidsExcludedWhenPossible) {
   rt.AddRef(0, 1);
   rt.AddRef(0, 2);
   Rng rng(1);
+  const NodeId sender[] = {1};
   for (int i = 0; i < 20; ++i) {
-    auto hop = rt.NextHop(K("1"), &rng, /*exclude=*/1);
+    auto hop = rt.NextHop(K("1"), &rng, sender);
     ASSERT_TRUE(hop.has_value());
     EXPECT_EQ(*hop, 2u);
   }
@@ -91,12 +92,12 @@ TEST(RoutingTableTest, NextHopAvoidsExcludedWhenPossible) {
   RoutingTable rt2(4);
   rt2.SetPath(K("0"));
   rt2.AddRef(0, 1);
-  auto hop = rt2.NextHop(K("1"), &rng, /*exclude=*/1);
+  auto hop = rt2.NextHop(K("1"), &rng, sender);
   ASSERT_TRUE(hop.has_value());
   EXPECT_EQ(*hop, 1u);
 }
 
-TEST(RoutingTableTest, NextHopAvoidingSkipsWholeTriedSet) {
+TEST(RoutingTableTest, NextHopSkipsWholeAvoidSet) {
   RoutingTable rt(4);
   rt.SetPath(K("0"));
   rt.AddRef(0, 1);
@@ -107,14 +108,14 @@ TEST(RoutingTableTest, NextHopAvoidingSkipsWholeTriedSet) {
   // the single-exclude behaviour would happily re-pick `tried[0]`.
   const NodeId tried[] = {1, 3};
   for (int i = 0; i < 20; ++i) {
-    auto hop = rt.NextHopAvoiding(K("1"), &rng, tried, 2);
+    auto hop = rt.NextHop(K("1"), &rng, tried);
     ASSERT_TRUE(hop.has_value());
     EXPECT_EQ(*hop, 2u);
   }
   // All refs tried: falls back to avoiding only the most recent attempt.
   const NodeId all_tried[] = {1, 2, 3};
   for (int i = 0; i < 20; ++i) {
-    auto hop = rt.NextHopAvoiding(K("1"), &rng, all_tried, 3);
+    auto hop = rt.NextHop(K("1"), &rng, all_tried);
     ASSERT_TRUE(hop.has_value());
     EXPECT_NE(*hop, 3u);
   }
@@ -123,39 +124,29 @@ TEST(RoutingTableTest, NextHopAvoidingSkipsWholeTriedSet) {
   rt2.SetPath(K("0"));
   rt2.AddRef(0, 5);
   const NodeId tried5[] = {5};
-  auto hop = rt2.NextHopAvoiding(K("1"), &rng, tried5, 1);
+  auto hop = rt2.NextHop(K("1"), &rng, tried5);
   ASSERT_TRUE(hop.has_value());
   EXPECT_EQ(*hop, 5u);
 }
 
-TEST(RoutingTableTest, NextHopAvoidingMatchesNextHopForOneExclude) {
-  // Draw-for-draw parity with single-exclude NextHop when |tried| <= 1, so
-  // enabling the failover path does not perturb seeded runs that never retry
-  // more than once.
-  RoutingTable a(4), b(4);
-  for (RoutingTable* rt : {&a, &b}) {
-    rt->SetPath(K("0101"));
-    rt->AddRef(0, 1);
-    rt->AddRef(0, 2);
-    rt->AddRef(0, 3);
-    rt->AddRef(2, 7);
-  }
-  Rng ra(99), rb(99);
-  for (int i = 0; i < 50; ++i) {
-    const NodeId ex = NodeId(i % 4);  // cycles through refs and a non-ref
-    auto ha = a.NextHop(K("1111"), &ra, ex);
-    auto hb = b.NextHopAvoiding(K("1111"), &rb, &ex, 1);
-    ASSERT_TRUE(ha.has_value());
-    ASSERT_TRUE(hb.has_value());
-    EXPECT_EQ(*ha, *hb) << "i=" << i;
-  }
-  for (int i = 0; i < 50; ++i) {
-    auto ha = a.NextHop(K("1111"), &ra);
-    auto hb = b.NextHopAvoiding(K("1111"), &rb, nullptr, 0);
-    ASSERT_TRUE(ha.has_value());
-    ASSERT_TRUE(hb.has_value());
-    EXPECT_EQ(*ha, *hb) << "i=" << i;
-  }
+TEST(RoutingTableTest, LeastLoadedPicksMinimumUnderAvoidLadder) {
+  RoutingTable rt(4);
+  rt.SetPath(K("0"));
+  rt.AddRef(0, 1);
+  rt.AddRef(0, 2);
+  rt.AddRef(0, 3);
+  auto load = [](NodeId id) { return id == 1 ? uint64_t{5} : uint64_t{1}; };
+  const RefSpan refs = rt.RefsAt(0);
+  // Ties go to slot order.
+  EXPECT_EQ(RoutingTable::LeastLoaded(refs, load), std::optional<NodeId>(2));
+  const NodeId sender[] = {2};
+  EXPECT_EQ(RoutingTable::LeastLoaded(refs, load, sender),
+            std::optional<NodeId>(3));
+  // Everything avoided: only the last entry stays avoided.
+  const NodeId all[] = {1, 2, 3};
+  EXPECT_EQ(RoutingTable::LeastLoaded(refs, load, all),
+            std::optional<NodeId>(2));
+  EXPECT_EQ(RoutingTable::LeastLoaded(rt.RefsAt(5), load), std::nullopt);
 }
 
 /// Reference model of the pre-flattening layout (one vector per level) used
@@ -273,10 +264,13 @@ TEST(RoutingTableTest, NextHopPickIsSeedStable) {
   Rng ra(42), rb(42);
   for (int i = 0; i < 50; ++i) {
     Key target = i % 2 ? K("1") : K("0111");
-    auto ha = a.NextHop(target, &ra, /*exclude=*/NodeId(i % 4));
-    auto hb = b.NextHop(target, &rb, /*exclude=*/NodeId(i % 4));
+    const NodeId avoid[] = {NodeId(i % 4)};
+    auto ha = a.NextHop(target, &ra, avoid);
+    auto hb = b.NextHop(target, &rb, avoid);
     ASSERT_EQ(ha.has_value(), hb.has_value());
-    if (ha) ASSERT_EQ(*ha, *hb);
+    if (ha) {
+      ASSERT_EQ(*ha, *hb);
+    }
   }
 }
 

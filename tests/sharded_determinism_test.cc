@@ -82,8 +82,9 @@ OverlayOutcome RunOverlay(uint64_t seed) {
   for (int i = 0; i < kOps; ++i) {
     NodeId issuer = NodeId(size_t(i) % kPeers);
     engine.ScheduleForNode(issuer, 0.05 * (i + 1), [&, i, issuer] {
-      peers[issuer]->Update(keys[size_t(i)], "v" + std::to_string(i),
-                            [&update_hops, i](Result<PGridPeer::UpdateOutcome> r) {
+      peers[issuer]->Update(keys[size_t(i)],
+                            std::string("v").append(std::to_string(i)),
+                            [&update_hops, i](Result<PGridPeer::Reply> r) {
                               update_hops[size_t(i)] = r.ok() ? r->hops : -2;
                             });
     });
@@ -95,7 +96,7 @@ OverlayOutcome RunOverlay(uint64_t seed) {
     NodeId issuer = NodeId(size_t(i * 5 + 3) % kPeers);
     engine.ScheduleForNode(issuer, 0.05 * (i + 1), [&, i, issuer] {
       peers[issuer]->Retrieve(
-          keys[size_t(i)], [&retrieved, i](Result<PGridPeer::LookupResult> r) {
+          keys[size_t(i)], [&retrieved, i](Result<PGridPeer::Reply> r) {
             if (!r.ok()) {
               retrieved[size_t(i)] = "<err>";
               return;
@@ -160,7 +161,7 @@ StackOutcome RunStack(uint64_t seed, bool keyed, bool traced = false) {
   EXPECT_TRUE(net.InsertSchema(1, Schema("B", "d", {"organism"})).ok());
   std::vector<Triple> batch;
   for (int i = 0; i < 12; ++i) {
-    batch.push_back(T("a" + std::to_string(i), "A#organism",
+    batch.push_back(T(std::string("a").append(std::to_string(i)), "A#organism",
                       i % 2 ? "Aspergillus niger" : "Penicillium"));
   }
   net.InsertTriples(2, batch);

@@ -96,15 +96,16 @@ SoakOutcome RunSoak(uint64_t seed) {
     SimTime at = 0.5 + 0.12 * i;
     if (i % 3 == 0) {
       engine.ScheduleForNode(issuer, at, [&, i, issuer] {
-        peers[issuer]->Update(keys[size_t(i)], "v" + std::to_string(i),
-                              [&op_status, i](Result<PGridPeer::UpdateOutcome> r) {
+        peers[issuer]->Update(keys[size_t(i)],
+                              std::string("v").append(std::to_string(i)),
+                              [&op_status, i](Result<PGridPeer::Reply> r) {
                                 op_status[size_t(i)] = r.ok() ? r->hops : -2;
                               });
       });
     } else {
       engine.ScheduleForNode(issuer, at, [&, i, issuer] {
         peers[issuer]->Retrieve(
-            keys[size_t(i)], [&op_status, i](Result<PGridPeer::LookupResult> r) {
+            keys[size_t(i)], [&op_status, i](Result<PGridPeer::Reply> r) {
               op_status[size_t(i)] = r.ok() ? r->hops : -2;
             });
       });

@@ -16,7 +16,9 @@ namespace {
 TEST(KmvSketchTest, ExactBelowKAndDuplicateInsensitive) {
   KmvSketch s(64);
   for (int pass = 0; pass < 3; ++pass) {
-    for (int i = 0; i < 50; ++i) s.AddString("v" + std::to_string(i));
+    for (int i = 0; i < 50; ++i) {
+      s.AddString(std::string("v").append(std::to_string(i)));
+    }
   }
   EXPECT_DOUBLE_EQ(s.Estimate(), 50.0);
 }
@@ -26,7 +28,9 @@ TEST(KmvSketchTest, EstimateWithinTolerance) {
   // any reasonable hash behaviour while still catching broken estimators.
   for (int n : {500, 5000, 50000}) {
     KmvSketch s;
-    for (int i = 0; i < n; ++i) s.AddString("value-" + std::to_string(i));
+    for (int i = 0; i < n; ++i) {
+      s.AddString(std::string("value-").append(std::to_string(i)));
+    }
     double est = s.Estimate();
     EXPECT_GT(est, n * 0.6) << "n=" << n;
     EXPECT_LT(est, n * 1.4) << "n=" << n;
@@ -35,8 +39,12 @@ TEST(KmvSketchTest, EstimateWithinTolerance) {
 
 TEST(KmvSketchTest, InsertionOrderInvariantAndRoundTrips) {
   KmvSketch a, b;
-  for (int i = 0; i < 300; ++i) a.AddString("x" + std::to_string(i));
-  for (int i = 299; i >= 0; --i) b.AddString("x" + std::to_string(i));
+  for (int i = 0; i < 300; ++i) {
+    a.AddString(std::string("x").append(std::to_string(i)));
+  }
+  for (int i = 299; i >= 0; --i) {
+    b.AddString(std::string("x").append(std::to_string(i)));
+  }
   EXPECT_TRUE(a == b);
   EXPECT_EQ(a.Serialize(), b.Serialize());
 
@@ -49,12 +57,12 @@ TEST(KmvSketchTest, InsertionOrderInvariantAndRoundTrips) {
 TEST(KmvSketchTest, MergeEqualsUnion) {
   KmvSketch a, b, u;
   for (int i = 0; i < 200; ++i) {
-    a.AddString("a" + std::to_string(i));
-    u.AddString("a" + std::to_string(i));
+    a.AddString(std::string("a").append(std::to_string(i)));
+    u.AddString(std::string("a").append(std::to_string(i)));
   }
   for (int i = 0; i < 200; ++i) {
-    b.AddString("b" + std::to_string(i));
-    u.AddString("b" + std::to_string(i));
+    b.AddString(std::string("b").append(std::to_string(i)));
+    u.AddString(std::string("b").append(std::to_string(i)));
   }
   a.Merge(b);
   EXPECT_TRUE(a == u);
@@ -68,14 +76,14 @@ TEST(StoreSketchTest, EstimatesPatternsAgainstStore) {
   TripleStore store;
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(store
-                    .Insert(T("s" + std::to_string(i), "p:type",
-                              i % 4 == 0 ? "gadget" : "widget"))
+                    .Insert(T(std::string("s").append(std::to_string(i)),
+                              "p:type", i % 4 == 0 ? "gadget" : "widget"))
                     .ok());
   }
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(store
-                    .Insert(T("s" + std::to_string(i), "p:size",
-                              std::to_string(i % 3)))
+                    .Insert(T(std::string("s").append(std::to_string(i)),
+                              "p:size", std::to_string(i % 3)))
                     .ok());
   }
   StoreSketch sk = StoreSketch::Build(store);
@@ -111,9 +119,9 @@ TEST(StoreSketchTest, SerializeRoundTripIsCanonical) {
   TripleStore store;
   for (int i = 0; i < 25; ++i) {
     ASSERT_TRUE(store
-                    .Insert(T("s" + std::to_string(i % 7),
-                              "p" + std::to_string(i % 3),
-                              "o" + std::to_string(i)))
+                    .Insert(T(std::string("s").append(std::to_string(i % 7)),
+                              std::string("p").append(std::to_string(i % 3)),
+                              std::string("o").append(std::to_string(i))))
                     .ok());
   }
   StoreSketch sk = StoreSketch::Build(store);
@@ -137,10 +145,12 @@ TEST(StoreSketchTest, SameDataSameBytes) {
   // loaded in different orders.
   TripleStore a, b;
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(a.Insert(T("s" + std::to_string(i), "p", "o")).ok());
+    ASSERT_TRUE(
+        a.Insert(T(std::string("s").append(std::to_string(i)), "p", "o")).ok());
   }
   for (int i = 29; i >= 0; --i) {
-    ASSERT_TRUE(b.Insert(T("s" + std::to_string(i), "p", "o")).ok());
+    ASSERT_TRUE(
+        b.Insert(T(std::string("s").append(std::to_string(i)), "p", "o")).ok());
   }
   StoreSketch sa = StoreSketch::Build(a);
   StoreSketch sb = StoreSketch::Build(b);

@@ -156,7 +156,8 @@ TEST_F(TripleStoreTest, InsertBatchDeduplicatesAndValidates) {
   TripleStore store;
   std::vector<Triple> batch;
   for (int i = 0; i < 10; ++i) {
-    batch.push_back(T("s" + std::to_string(i % 4), "p", "o" + std::to_string(i)));
+    batch.push_back(T(std::string("s").append(std::to_string(i % 4)), "p",
+                      std::string("o").append(std::to_string(i))));
   }
   batch.push_back(batch.front());  // duplicate inside the batch
   ASSERT_TRUE(store.InsertBatch(batch).ok());
@@ -194,19 +195,21 @@ TEST_F(TripleStoreTest, CompactionPreservesResultsUnderMassErase) {
   TripleStore store;
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(
-        store.Insert(T("s" + std::to_string(i), "p" + std::to_string(i % 3),
-                       "o" + std::to_string(i)))
+        store.Insert(T(std::string("s").append(std::to_string(i)),
+                       std::string("p").append(std::to_string(i % 3)),
+                       std::string("o").append(std::to_string(i))))
             .ok());
   }
   for (int i = 0; i < 150; ++i) {
-    ASSERT_TRUE(store.Erase(T("s" + std::to_string(i),
-                              "p" + std::to_string(i % 3),
-                              "o" + std::to_string(i))));
+    ASSERT_TRUE(store.Erase(T(std::string("s").append(std::to_string(i)),
+                              std::string("p").append(std::to_string(i % 3)),
+                              std::string("o").append(std::to_string(i)))));
   }
   EXPECT_EQ(store.size(), 50u);
   for (int i = 150; i < 200; ++i) {
-    Triple t = T("s" + std::to_string(i), "p" + std::to_string(i % 3),
-                 "o" + std::to_string(i));
+    Triple t = T(std::string("s").append(std::to_string(i)),
+                 std::string("p").append(std::to_string(i % 3)),
+                 std::string("o").append(std::to_string(i)));
     EXPECT_TRUE(store.Contains(t));
     EXPECT_EQ(store.Select(TriplePattern(t.subject(), Term::Var("p"),
                                          Term::Var("o"))).size(), 1u);
@@ -232,15 +235,16 @@ TEST_P(TripleStorePropertyTest, AllTriplesFindableByEveryIndex) {
   int n = GetParam();
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(store
-                    .Insert(T("s" + std::to_string(i % 17),
-                              "p" + std::to_string(i % 5),
-                              "o" + std::to_string(i)))
+                    .Insert(T(std::string("s").append(std::to_string(i % 17)),
+                              std::string("p").append(std::to_string(i % 5)),
+                              std::string("o").append(std::to_string(i))))
                     .ok());
   }
   EXPECT_EQ(store.size(), size_t(n));
   for (int i = 0; i < n; ++i) {
-    Triple t = T("s" + std::to_string(i % 17), "p" + std::to_string(i % 5),
-                 "o" + std::to_string(i));
+    Triple t = T(std::string("s").append(std::to_string(i % 17)),
+                 std::string("p").append(std::to_string(i % 5)),
+                 std::string("o").append(std::to_string(i)));
     auto by_s = store.Select(
         TriplePattern(t.subject(), Term::Var("p"), Term::Var("o")));
     auto by_p = store.Select(
