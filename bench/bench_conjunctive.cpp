@@ -236,7 +236,6 @@ struct ZipfModeCfg {
   int mode;  ///< 0 = greedy, 1 = static cost-based, 2 = adaptive
   bool stats;
   double divergence;
-  bool load_aware;
 };
 
 struct ZipfStats {
@@ -255,7 +254,6 @@ ZipfStats RunZipfMode(const ZipfModeCfg& cfg, size_t entities, double zipf_s,
   options.num_peers = 24;
   options.key_depth = 12;
   options.seed = seed;
-  options.overlay.load_aware = cfg.load_aware;
   if (cfg.stats) {
     options.peer.stats.enabled = true;
     // Never expire: the drift phase measures what stale sketches cost the
@@ -445,12 +443,9 @@ int main(int argc, char** argv) {
               kZipfPreds, kZipfRounds, (unsigned long long)kSeed);
 
   const ZipfModeCfg kModes[] = {
-      {"zipf_greedy", 0, /*stats=*/false, /*divergence=*/0.0,
-       /*load_aware=*/false},
-      {"zipf_cost", 1, /*stats=*/true, /*divergence=*/0.0,
-       /*load_aware=*/false},
-      {"zipf_adaptive", 2, /*stats=*/true, /*divergence=*/2.0,
-       /*load_aware=*/true},
+      {"zipf_greedy", 0, /*stats=*/false, /*divergence=*/0.0},
+      {"zipf_cost", 1, /*stats=*/true, /*divergence=*/0.0},
+      {"zipf_adaptive", 2, /*stats=*/true, /*divergence=*/2.0},
   };
   ZipfStats zs[3];
   for (int m = 0; m < 3; ++m) {

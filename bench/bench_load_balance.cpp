@@ -31,11 +31,10 @@ namespace {
 constexpr int kKeyDepth = 64;  // deep enough that clustered URIs separate
 
 struct Overlay {
-  explicit Overlay(size_t n, bool load_aware = false)
+  explicit Overlay(size_t n)
       : net(&sim, std::make_unique<ConstantLatency>(0.01), Rng(1)) {
     PGridPeer::Options opts;
     opts.key_depth = kKeyDepth;
-    opts.load_aware = load_aware;
     for (size_t i = 0; i < n; ++i) {
       owned.push_back(std::make_unique<PGridPeer>(
           &sim, &net, Mt64Head<1>(31 + i)[0], opts));
@@ -80,14 +79,13 @@ struct BenchPayload : MessageBody {
 };
 
 /// Request-serving (replica read) imbalance: Zipf-hot key regions are read
-/// through the overlay with blind random vs load-aware replica selection.
-/// The peer count is deliberately NOT a power of two, so BuildBalanced
-/// round-robins peers onto 2^d paths and most regions carry two replicas —
-/// the alternatives load-aware selection spreads over.
-LoadStats RunRequestLoad(bool load_aware) {
+/// through the overlay with blind random replica selection. The peer count
+/// is deliberately NOT a power of two, so BuildBalanced round-robins peers
+/// onto 2^d paths and most regions carry two replicas.
+LoadStats RunRequestLoad() {
   constexpr size_t kReqPeers = 48;  // d = 5: 32 regions, 16 doubly replicated
   constexpr size_t kRequests = 20000;
-  Overlay o(kReqPeers, load_aware);
+  Overlay o(kReqPeers);
   Rng rng(11);
   PGridBuilder::BuildBalanced(o.peers, &rng, /*refs_per_level=*/4);
   // Zipf(1.1) over the 32 regions: region r is addressed by the path of the
@@ -99,8 +97,7 @@ LoadStats RunRequestLoad(bool load_aware) {
     cdf.push_back(mass);
   }
   // One gateway issues everything — the mediation-layer shape (an issuing
-  // peer fanning a query's scans out), and the regime where the gateway's
-  // local send counters carry enough signal to equalize its alternatives.
+  // peer fanning a query's scans out).
   Rng req_rng(23);
   constexpr size_t kGateway = 47;
   for (size_t i = 0; i < kRequests; ++i) {
@@ -184,23 +181,17 @@ int main(int argc, char** argv) {
               "balance close to A while keeping\n  the range locality that "
               "order preservation buys.\n");
 
-  // D. Request-serving load under Zipf-hot reads: blind vs load-aware
-  // replica selection (the conjunctive executor's RemoteScan path).
+  // D. Request-serving load under Zipf-hot reads with blind random replica
+  // selection (the conjunctive executor's RemoteScan path).
   std::printf("\nrequest-serving load, Zipf(1.1) reads, 48 peers / 32 "
               "regions\n\n");
   std::printf("  %-42s %8s %8s %9s %7s\n", "configuration", "total", "mean",
               "max/mean", "gini");
-  auto blind = RunRequestLoad(false);
+  auto blind = RunRequestLoad();
   Report("D1 blind random replica selection", blind);
   record("request_blind", blind);
-  auto aware = RunRequestLoad(true);
-  Report("D2 load-aware replica selection", aware);
-  record("request_load_aware", aware);
-  std::printf("\n  expectation: parity — the Zipf skew across regions "
-              "dominates both modes; load-aware\n  selection holds the "
-              "spread of blind random selection while drawing nothing from "
-              "the rng\n  (deterministic replays) and feeding the failover "
-              "path a least-loaded alternative.\n");
+  std::printf("\n  expectation: the Zipf skew across regions dominates the "
+              "spread.\n");
   json.Finish();
   return 0;
 }

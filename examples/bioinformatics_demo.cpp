@@ -7,6 +7,7 @@
 //   $ ./examples/bioinformatics_demo
 
 #include <cstdio>
+#include <vector>
 
 #include "pgrid/load_stats.h"
 #include "workload/bio_workload.h"
@@ -83,8 +84,14 @@ int main() {
   }
   std::printf("inserted %zu manual mappings (bidirectional ring)\n\n", n);
 
-  // Index load balance across the overlay (the physical layer's job).
-  LoadStats load = ComputeLoadStats(net.overlay_peers());
+  // Index load balance across the overlay (the physical layer's job): each
+  // peer's DB_p rows plus the records its overlay storage holds.
+  std::vector<uint64_t> per_peer;
+  for (size_t i = 0; i < net.size(); ++i) {
+    per_peer.push_back(net.peer(i)->local_db().size() +
+                       net.peer(i)->overlay()->StorageSize());
+  }
+  LoadStats load = ComputeLoadStatsFrom(per_peer);
   std::printf("index load: %zu entries, mean %.1f/peer, max/mean %.2f, "
               "gini %.3f\n\n",
               load.total, load.mean, load.max_over_mean, load.gini);

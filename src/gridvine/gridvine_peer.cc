@@ -40,18 +40,13 @@ bool ParseWhole(const std::string& field, T* out) {
   return ec == std::errc() && ptr == end;
 }
 
-/// Record-kind tags: every non-triple value in overlay storage starts with
-/// one. Each record fetch passes its tag as the retrieve's value prefix, so
-/// the responder ships only that kind, not the triples sharing the key; the
+/// Record-kind tags: every record in overlay storage starts with one. Each
+/// record fetch passes its tag as the retrieve's value prefix, so the
+/// responder ships only that kind, not the others sharing the key; the
 /// requester still checks the tag, since DHT records are untrusted bytes.
 constexpr std::string_view kSchemaTag = "schema|";
 constexpr std::string_view kMappingTag = "mapping|";
 constexpr std::string_view kDegreeTag = "conn|";
-
-bool IsStructuredRecord(const std::string& value) {
-  return StartsWith(value, kSchemaTag) || StartsWith(value, kMappingTag) ||
-         StartsWith(value, kDegreeTag);
-}
 
 /// Aggregates N update acknowledgements into one status callback: the first
 /// error wins; OK once all arrive.
@@ -101,9 +96,9 @@ GridVinePeer::GridVinePeer(Simulator* sim, Network* network,
   overlay_->SetExtensionHandler(
       [this](NodeId origin, std::shared_ptr<const MessageBody> payload,
              int hops) { OnExtensionMessage(origin, std::move(payload), hops); });
-  overlay_->SetStorageListener(
+  overlay_->SetStorageKeeper(
       [this](UpdateOp op, const Key& key, const std::string& value) {
-        OnStorageChange(op, key, value);
+        return KeepTriple(op, key, value);
       });
   if (options_.cache.enabled) {
     cache_ = std::make_unique<ExtentCache>();
@@ -124,7 +119,7 @@ QueryFrontend* GridVinePeer::frontend() {
   return frontend_.get();
 }
 
-// --- Storage mirroring --------------------------------------------------------
+// --- DB_p ----------------------------------------------------------------------
 
 const TripleStore& GridVinePeer::local_db() const {
   static const TripleStore kEmpty;
@@ -136,18 +131,21 @@ TripleStore& GridVinePeer::MutableLocalDb() {
   return *local_db_;
 }
 
-void GridVinePeer::OnStorageChange(UpdateOp op, const Key& /*key*/,
-                                   const std::string& value) {
-  if (IsStructuredRecord(value)) return;
+bool GridVinePeer::KeepTriple(UpdateOp op, const Key& key,
+                              const std::string& value) {
   auto triple = Triple::Parse(value);
-  if (!triple.ok()) return;  // unknown record type: not DB_p material
-  if (op == UpdateOp::kInsert) {
-    // A triple indexed three times may land on this peer up to three times;
-    // TripleStore::Insert is idempotent so DB_p stays duplicate-free.
-    MutableLocalDb().Insert(*triple).ok();
-  } else if (local_db_ != nullptr) {
-    local_db_->Erase(*triple);
+  if (!triple.ok()) return false;  // a schema, mapping or degree record
+  TripleStore::Tags tags = 0;
+  for (int pos = 0; pos < 3; ++pos) {
+    if (KeyFor(triple->at(TriplePos(pos)).value()) == key) tags |= 1 << pos;
   }
+  if (tags == 0) return false;  // filed under a foreign key
+  if (op == UpdateOp::kInsert) {
+    MutableLocalDb().Tag(*triple, tags).ok();
+  } else if (local_db_ != nullptr) {
+    local_db_->Untag(*triple, tags);
+  }
+  return true;
 }
 
 // --- Mediation-layer updates ---------------------------------------------------

@@ -142,8 +142,9 @@ class GridVinePeer {
   const PGridPeer* overlay() const { return overlay_.get(); }
   NodeId id() const { return overlay_->id(); }
 
-  /// The local database DB_p: every triple this peer stores at the overlay
-  /// layer, kept in sync automatically (including replication traffic).
+  /// The local database DB_p: every triple filed at this peer under the key
+  /// of one of its terms (by Update, Remove or replication), tagged with the
+  /// positions those keys index; the overlay stores only the other values.
   /// Allocated on the first stored triple; until then this is a shared,
   /// immutable empty store (version 0).
   const TripleStore& local_db() const;
@@ -542,8 +543,10 @@ class GridVinePeer {
   /// Service cost of answering one scan/bound-scan request.
   SimTime ScanServeCost(bool cache_hit, size_t rows) const;
 
-  /// Storage listener keeping DB_p in sync.
-  void OnStorageChange(UpdateOp op, const Key& key, const std::string& value);
+  /// The overlay's storage keeper: takes a triple filed under the key of
+  /// one of its terms and sets or clears the tags of those positions in
+  /// DB_p. Every other value stays with the overlay.
+  bool KeepTriple(UpdateOp op, const Key& key, const std::string& value);
   /// DB_p for writing, allocated on first use. A fresh store's version moves
   /// past the shared empty store's 0 on its first insert, so extent-cache
   /// entries taken before materialization go stale like any other.

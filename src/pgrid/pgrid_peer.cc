@@ -1,7 +1,6 @@
 #include "pgrid/pgrid_peer.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -63,49 +62,16 @@ std::vector<std::string> PGridPeer::LocalLookup(
   return out;
 }
 
-void PGridPeer::InsertLocal(const Key& key, const std::string& value) {
-  // Idempotent insert: skip an identical (key, value) pair.
-  if (!present_.emplace(key.bits(), value).second) return;
-  storage_.emplace(key, value);
-  if (storage_listener_) storage_listener_(UpdateOp::kInsert, key, value);
-}
-
-bool PGridPeer::EraseLocal(const Key& key, const std::string& value) {
-  if (present_.erase({key.bits(), value}) == 0) return false;
-  auto range = storage_.equal_range(key);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (it->second == value) {
-      storage_.erase(it);
-      break;
-    }
-  }
-  if (storage_listener_) storage_listener_(UpdateOp::kDelete, key, value);
-  return true;
-}
-
-std::vector<std::pair<Key, std::string>> PGridPeer::EvictForeignEntries() {
-  std::vector<std::pair<Key, std::string>> evicted;
-  for (auto it = storage_.begin(); it != storage_.end();) {
-    if (!IsResponsibleFor(it->first)) {
-      evicted.emplace_back(it->first, it->second);
-      present_.erase({it->first.bits(), it->second});
-      if (storage_listener_) {
-        storage_listener_(UpdateOp::kDelete, it->first, it->second);
-      }
-      it = storage_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return evicted;
-}
-
 void PGridPeer::ApplyLocal(UpdateOp op, const Key& key,
                            const std::string& value) {
-  if (op == UpdateOp::kInsert) {
-    InsertLocal(key, value);
-  } else {
-    EraseLocal(key, value);
+  if (storage_keeper_ && storage_keeper_(op, key, value)) return;
+  auto [first, last] = storage_.equal_range(key);
+  auto it = std::find_if(first, last,
+                         [&](const auto& kv) { return kv.second == value; });
+  if (op == UpdateOp::kDelete) {
+    if (it != last) storage_.erase(it);
+  } else if (it == last) {
+    storage_.emplace_hint(last, key, value);
   }
 }
 
@@ -271,32 +237,10 @@ bool PGridPeer::FailoverPending(uint64_t request_id) {
 
 // --- Extension interface ------------------------------------------------------
 
-std::optional<NodeId> PGridPeer::PayloadNextHop(const Key& key,
-                                                NodeId avoid) {
-  if (!options_.load_aware) return routing_.NextHop(key, &rng_, {&avoid, 1});
-  return LeastLoadedHop(routing_.RefsAt(routing_.DivergenceLevel(key)), avoid);
-}
-
-std::optional<NodeId> PGridPeer::LeastLoadedHop(RefSpan refs, NodeId avoid) {
-  auto next = RoutingTable::LeastLoaded(
-      refs,
-      [this](NodeId id) {
-        auto it = send_loads_.find(id);
-        return it == send_loads_.end() ? uint64_t{0} : it->second;
-      },
-      {&avoid, 1});
-  if (next.has_value()) ++send_loads_[*next];
-  return next;
-}
-
 template <typename Msg>
 Status PGridPeer::Forward(NodeId from, const Key& key, const Msg& msg) {
   if (msg.hops >= kMaxHops) return Status::NetworkError("hop limit exceeded");
-  // Ack'd requests always draw (their failover explores alternatives);
-  // fire-and-forget envelopes may go least-loaded.
-  auto next = std::is_same_v<Msg, KeyRequest>
-                  ? routing_.NextHop(key, &rng_, {&from, 1})
-                  : PayloadNextHop(key, from);
+  auto next = routing_.NextHop(key, &rng_, {&from, 1});
   if (!next.has_value()) {
     ++counters_.routing_dead_ends;
     return Status::Unavailable("routing dead end at peer " +
@@ -324,7 +268,7 @@ void PGridPeer::Route(const Key& key,
   // lifted onto it for the flight span to parent correctly.
   env->trace_ctx = payload->trace_ctx;
   env->payload = std::move(payload);
-  auto next = PayloadNextHop(key);
+  auto next = routing_.NextHop(key, &rng_);
   if (!next.has_value()) {
     ++counters_.routing_dead_ends;
     return;  // fire-and-forget: the payload protocol's timeout handles loss
@@ -359,7 +303,7 @@ void PGridPeer::RouteRange(const Key& prefix,
     ShowerRange(env);
     return;
   }
-  auto next = PayloadNextHop(prefix);
+  auto next = routing_.NextHop(prefix, &rng_);
   if (!next.has_value()) {
     ++counters_.routing_dead_ends;
     return;
@@ -383,9 +327,7 @@ void PGridPeer::ShowerRange(const RangeEnvelope& env) {
     auto msg = std::make_shared<RangeEnvelope>(env);
     msg->min_level = level + 1;
     msg->hops = env.hops + 1;
-    NodeId target = options_.load_aware ? *LeastLoadedHop(refs, kInvalidNode)
-                                        : rng_.PickOne(refs);
-    network_->Send(id_, target, msg);
+    network_->Send(id_, rng_.PickOne(refs), msg);
   }
 }
 
@@ -514,15 +456,10 @@ size_t PGridPeer::MemoryFootprint() const {
   for (const auto& [key, value] : storage_) {
     bytes += StringHeapBytes(key.bits()) + StringHeapBytes(value);
   }
-  bytes += RbTreeBytes(present_.size(), sizeof(*present_.begin()));
-  for (const auto& [k, v] : present_) {
-    bytes += StringHeapBytes(k) + StringHeapBytes(v);
-  }
   bytes += HashMapBytes(pending_);
   for (const auto& [rid, p] : pending_) {
     bytes += p.tried_hops.capacity() * sizeof(NodeId);
   }
-  bytes += HashMapBytes(send_loads_);
   bytes += protocol_handlers_.capacity() * sizeof(ProtocolHandler);
   return bytes;
 }

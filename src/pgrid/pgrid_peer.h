@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -64,14 +63,6 @@ class PGridPeer : public NetworkNode {
     int max_refs_per_level = 4;
     /// Timeout/backoff/attempt discipline for Retrieve/Update/Remove.
     RetryPolicy retry;
-    /// Load-aware replica selection for fire-and-forget routed payloads
-    /// (Route / envelope forwarding — the RemoteScan/BoundScan read path):
-    /// instead of a uniform draw over the refs at the divergence level, pick
-    /// the one this peer has sent the fewest payloads to (ties by slot
-    /// order). Deterministic — no rng draw — and default-off, so disabled
-    /// runs consume exactly the HEAD random stream. Reliable Retrieve/Update
-    /// keep the randomized+failover discipline either way.
-    bool load_aware = false;
   };
 
   /// A successful answer: the values a Retrieve found (an Update's or
@@ -137,13 +128,16 @@ class PGridPeer : public NetworkNode {
   void RouteRange(const Key& prefix,
                   std::shared_ptr<const MessageBody> payload);
 
-  /// Observes every local storage mutation (including replica pushes and
-  /// bootstrap inserts); lets the mediation layer mirror overlay storage
-  /// into its local triple database DB_p.
-  using StorageListener =
-      std::function<void(UpdateOp op, const Key& key, const std::string&)>;
-  void SetStorageListener(StorageListener listener) {
-    storage_listener_ = std::move(listener);
+  /// Offered every local storage mutation (Update, Remove, replica push or
+  /// bootstrap insert) before the overlay applies it; returns true to take
+  /// the pair, which the overlay then does not store. The mediation layer
+  /// keeps its triples in DB_p this way, so a taken pair is not returned by
+  /// Retrieve, listed by storage(), counted by StorageSize or
+  /// pgrid.storage_entries, or handed over by OnlineExchangeAgent.
+  using StorageKeeper =
+      std::function<bool(UpdateOp op, const Key& key, const std::string&)>;
+  void SetStorageKeeper(StorageKeeper keeper) {
+    storage_keeper_ = std::move(keeper);
   }
 
   /// Auxiliary protocol hook: messages the peer does not handle natively
@@ -180,16 +174,18 @@ class PGridPeer : public NetworkNode {
   bool IsResponsibleFor(const Key& key) const;
 
   /// Stores a pair locally, bypassing routing (bootstrap / replication).
-  void InsertLocal(const Key& key, const std::string& value);
-  /// Drops a pair locally; true if something was removed.
-  bool EraseLocal(const Key& key, const std::string& value);
+  void InsertLocal(const Key& key, const std::string& value) {
+    ApplyLocal(UpdateOp::kInsert, key, value);
+  }
+  /// Drops a pair locally.
+  void EraseLocal(const Key& key, const std::string& value) {
+    ApplyLocal(UpdateOp::kDelete, key, value);
+  }
 
-  /// Ordered local storage (key → value, duplicates by value allowed).
+  /// Ordered local storage (key, then insertion order), without the pairs
+  /// the storage keeper took.
   const std::multimap<Key, std::string>& storage() const { return storage_; }
   size_t StorageSize() const { return storage_.size(); }
-  /// Moves out entries NOT belonging to this peer's current path (used when
-  /// a path is extended during construction); returns them.
-  std::vector<std::pair<Key, std::string>> EvictForeignEntries();
 
   /// Operation counters for experiments.
   struct Counters {
@@ -254,6 +250,8 @@ class PGridPeer : public NetworkNode {
   /// start with `value_prefix`, in storage order.
   std::vector<std::string> LocalLookup(const Key& key,
                                        std::string_view value_prefix) const;
+  /// Every local mutation: offered to the storage keeper first, else
+  /// applied to storage_ (an identical pair is stored once).
   void ApplyLocal(UpdateOp op, const Key& key, const std::string& value);
   void ReplicateToSiblings(UpdateOp op, const Key& key,
                            const std::string& value);
@@ -296,14 +294,6 @@ class PGridPeer : public NetworkNode {
   template <typename Msg>
   Status Forward(NodeId from, const Key& key, const Msg& msg);
 
-  /// Picks the next hop for a fire-and-forget payload: least-loaded when
-  /// Options::load_aware, else one uniform draw.
-  std::optional<NodeId> PayloadNextHop(const Key& key,
-                                       NodeId avoid = kInvalidNode);
-  /// The load-aware pick among `refs`; records the chosen hop in
-  /// send_loads_.
-  std::optional<NodeId> LeastLoadedHop(RefSpan refs, NodeId avoid);
-
   Simulator* sim_;
   Network* network_;
   /// One machine word of generator state (see common/rng.h CompactRng), so
@@ -312,19 +302,12 @@ class PGridPeer : public NetworkNode {
   Options options_;
   NodeId id_;
   RoutingTable routing_;
-  /// Payloads routed per destination ref — the state behind load-aware
-  /// selection. Empty (never touched) when Options::load_aware is off.
-  std::unordered_map<NodeId, uint64_t> send_loads_;
   std::multimap<Key, std::string> storage_;
-  /// Exact (key, value) presence index: keeps InsertLocal's idempotence
-  /// check O(log n) even when the order-preserving hash piles thousands of
-  /// entries onto one key (clustered URIs).
-  std::set<std::pair<std::string, std::string>> present_;
   std::unordered_map<uint64_t, Pending> pending_;
   uint32_t next_seq_ = 0;
   Counters counters_;
   ExtensionHandler extension_handler_;
-  StorageListener storage_listener_;
+  StorageKeeper storage_keeper_;
   std::vector<ProtocolHandler> protocol_handlers_;
 };
 

@@ -108,28 +108,6 @@ class RoutingTable {
     return std::nullopt;  // unreachable
   }
 
-  /// Deterministic load-aware pick among `refs`, under NextHop's avoid
-  /// ladder: the eligible ref minimizing `load(id)`, ties broken by slot
-  /// order; nullopt when `refs` is empty. No rng draw — the caller's
-  /// counters are the only state, which keeps load-aware runs deterministic
-  /// and leaves the random-draw sequence untouched when the feature is off.
-  template <typename LoadFn>
-  static std::optional<NodeId> LeastLoaded(RefSpan refs, LoadFn&& load,
-                                           std::span<const NodeId> avoid = {}) {
-    NarrowAvoid(refs, &avoid);
-    std::optional<NodeId> best;
-    uint64_t best_load = 0;
-    for (NodeId ref : refs) {
-      if (Contains(avoid, ref)) continue;
-      uint64_t w = load(ref);
-      if (!best || w < best_load) {
-        best = ref;
-        best_load = w;
-      }
-    }
-    return best;
-  }
-
   /// Divergence level of `key` against the path, or path length if the key
   /// lies in this peer's subtree.
   int DivergenceLevel(const Key& key) const;
@@ -153,9 +131,9 @@ class RoutingTable {
     return std::find(ids.begin(), ids.end(), id) != ids.end();
   }
 
-  /// The avoid ladder both picks share: narrows `*avoid` (all of it, then
-  /// its last entry, then nothing) until some ref lies outside it, and
-  /// returns how many do (0 only when `refs` is empty).
+  /// NextHop's avoid ladder: narrows `*avoid` (all of it, then its last
+  /// entry, then nothing) until some ref lies outside it, and returns how
+  /// many do (0 only when `refs` is empty).
   static size_t NarrowAvoid(RefSpan refs, std::span<const NodeId>* avoid) {
     for (;;) {
       size_t outside = 0;

@@ -131,7 +131,9 @@ class EventFn {
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineSize];
+  // Zeroed so MoveFrom's whole-buffer memcpy never copies bytes a smaller
+  // callable left unwritten.
+  alignas(std::max_align_t) unsigned char storage_[kInlineSize] = {};
   const Ops* ops_ = nullptr;
 };
 

@@ -10,23 +10,27 @@ namespace gridvine {
 
 // --- Ingest --------------------------------------------------------------------
 
-void TripleStore::InsertEncoded(const Triple& t) {
+void TripleStore::TagEncoded(const Triple& t, Tags tags) {
+  if (tags == 0) return;
   IdTriple enc{dict_.Intern(t.subject()), dict_.Intern(t.predicate()),
                dict_.Intern(t.object())};
-  if (present_.count(enc)) return;  // idempotent: no visible change, no bump
-  ++version_;
   uint32_t slot = static_cast<uint32_t>(slots_.size());
+  auto [it, fresh] = present_.try_emplace(enc, slot);
+  if (!fresh) {
+    tags_[it->second] |= tags;  // no visible change, no bump
+    return;
+  }
+  ++version_;
   slots_.push_back(enc);
-  live_.push_back(true);
-  present_.emplace(enc, slot);
+  tags_.push_back(tags);
   by_subject_[enc.s].push_back(slot);
   by_predicate_[enc.p].push_back(slot);
   by_object_[enc.o].push_back(slot);
 }
 
-Status TripleStore::Insert(const Triple& t) {
+Status TripleStore::Tag(const Triple& t, Tags tags) {
   GV_RETURN_NOT_OK(t.Validate());
-  InsertEncoded(t);
+  TagEncoded(t, tags);
   return Status::OK();
 }
 
@@ -37,15 +41,15 @@ Status TripleStore::InsertBatch(const std::vector<Triple>& triples) {
     GV_RETURN_NOT_OK(t.Validate());
   }
   slots_.reserve(slots_.size() + triples.size());
-  live_.reserve(live_.size() + triples.size());
+  tags_.reserve(tags_.size() + triples.size());
   present_.reserve(present_.size() + triples.size());
   for (const Triple& t : triples) {
-    InsertEncoded(t);
+    TagEncoded(t, kAllTags);
   }
   return Status::OK();
 }
 
-bool TripleStore::Erase(const Triple& t) {
+bool TripleStore::Untag(const Triple& t, Tags tags) {
   IdTriple enc;
   {
     auto s = dict_.Lookup(t.subject());
@@ -56,11 +60,13 @@ bool TripleStore::Erase(const Triple& t) {
   }
   auto it = present_.find(enc);
   if (it == present_.end()) return false;
+  Tags& left = tags_[it->second];
+  left &= Tags(~tags);
+  if (left != 0) return false;  // still kept: no visible change, no bump
   // Tombstone the slot; posting-list entries pointing at dead slots are
   // skipped on scan and reclaimed wholesale by MaybeCompact. The present
   // map, slot list and counters always change together — a miss above
   // leaves the store untouched.
-  live_[it->second] = false;
   present_.erase(it);
   ++dead_count_;
   ++version_;
@@ -81,7 +87,7 @@ bool TripleStore::Contains(const Triple& t) const {
 void TripleStore::Clear() {
   dict_.Clear();
   slots_.clear();
-  live_.clear();
+  tags_.clear();
   present_.clear();
   by_subject_.clear();
   by_predicate_.clear();
@@ -101,10 +107,10 @@ void TripleStore::MaybeCompact() {
   std::vector<IdTriple> new_slots;
   new_slots.reserve(present_.size());
   for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (live_[slot]) new_slots.push_back(slots_[slot]);
+    if (tags_[slot] != 0) new_slots.push_back(slots_[slot]);
   }
   slots_ = std::move(new_slots);
-  live_.assign(slots_.size(), true);
+  std::erase(tags_, Tags{0});
   dead_count_ = 0;
   present_.clear();
   by_subject_.clear();
@@ -193,11 +199,11 @@ std::vector<uint32_t> TripleStore::MatchingSlots(
 
   if (postings != nullptr) {
     for (uint32_t slot : *postings) {
-      if (live_[slot] && MatchesIds(cp, slots_[slot])) out.push_back(slot);
+      if (tags_[slot] != 0 && MatchesIds(cp, slots_[slot])) out.push_back(slot);
     }
   } else {
     for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      if (live_[slot] && MatchesIds(cp, slots_[slot])) out.push_back(slot);
+      if (tags_[slot] != 0 && MatchesIds(cp, slots_[slot])) out.push_back(slot);
     }
   }
   return out;
@@ -367,7 +373,7 @@ std::vector<Term> TripleStore::DistinctPredicates() const {
   std::set<Term> seen;
   for (const auto& [pid, postings] : by_predicate_) {
     for (uint32_t slot : postings) {
-      if (live_[slot]) {
+      if (tags_[slot] != 0) {
         seen.insert(dict_.Decode(pid));
         break;
       }
@@ -384,7 +390,7 @@ std::set<std::string> TripleStore::ObjectValuesFor(
   auto it = by_predicate_.find(*pid);
   if (it == by_predicate_.end()) return out;
   for (uint32_t slot : it->second) {
-    if (live_[slot]) out.insert(dict_.Decode(slots_[slot].o).value());
+    if (tags_[slot] != 0) out.insert(dict_.Decode(slots_[slot].o).value());
   }
   return out;
 }
@@ -393,14 +399,14 @@ std::vector<Triple> TripleStore::All() const {
   std::vector<Triple> out;
   out.reserve(present_.size());
   for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (live_[slot]) out.push_back(DecodeSlot(slot));
+    if (tags_[slot] != 0) out.push_back(DecodeSlot(slot));
   }
   return out;
 }
 
 size_t TripleStore::MemoryFootprint() const {
   size_t bytes = dict_.MemoryFootprint() +
-                 slots_.capacity() * sizeof(IdTriple) + live_.capacity() / 8 +
+                 slots_.capacity() * sizeof(IdTriple) + tags_.capacity() +
                  HashMapBytes(present_);
   for (const PostingMap* pm : {&by_subject_, &by_predicate_, &by_object_}) {
     bytes += HashMapBytes(*pm);

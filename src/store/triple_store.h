@@ -32,12 +32,19 @@ using BindingSet = std::map<std::string, Term>;
 /// ids; strings are only touched at the API boundary (decode on Select /
 /// MatchPattern output, LIKE filters). Erase tombstones the slot; posting
 /// lists are compacted lazily once the dead fraction crosses a threshold.
+/// Each triple carries a tag byte, the caller's reasons to keep it (a
+/// GridVine peer tags the positions whose index keys it files the triple
+/// under); it stays while any tag is set. Insert and Erase set and clear
+/// every tag.
 class TripleStore {
  public:
+  using Tags = uint8_t;
+  static constexpr Tags kAllTags = 0xff;
+
   TripleStore() = default;
 
   /// Inserts a triple; duplicates are ignored. Fails on invalid triples.
-  Status Insert(const Triple& t);
+  Status Insert(const Triple& t) { return Tag(t, kAllTags); }
 
   /// Bulk ingest: pre-reserves slot and index capacity then inserts each
   /// triple (duplicates ignored). Stops at the first invalid triple and
@@ -45,7 +52,15 @@ class TripleStore {
   Status InsertBatch(const std::vector<Triple>& triples);
 
   /// Removes a triple; true if it was present.
-  bool Erase(const Triple& t);
+  bool Erase(const Triple& t) { return Untag(t, kAllTags); }
+
+  /// Sets `tags` on a triple, inserting it when absent (no tags: no-op).
+  /// Fails on invalid triples.
+  Status Tag(const Triple& t, Tags tags);
+
+  /// Clears `tags` on a triple and removes it once no tag is left; true if
+  /// it was removed. Tags the triple does not carry change nothing.
+  bool Untag(const Triple& t, Tags tags);
 
   bool Contains(const Triple& t) const;
   size_t size() const { return present_.size(); }
@@ -88,8 +103,9 @@ class TripleStore {
   /// Monotonic mutation counter: any change that can alter what a pattern
   /// matches — insert, erase, tombstone compaction, Clear — bumps it, so
   /// extent caches can validate entries with a single integer compare
-  /// instead of subscribing to change events. Erase and compaction count too: a cache that only
-  /// watched inserts would happily serve rows for deleted triples.
+  /// instead of subscribing to change events. Erase and compaction count
+  /// too: a cache that only watched inserts would happily serve rows for
+  /// deleted triples. A tag change on a triple that stays does not count.
   uint64_t version() const { return version_; }
 
   /// Bytes of heap behind the store (dictionary arena, slot array, presence
@@ -147,8 +163,8 @@ class TripleStore {
 
   Triple DecodeSlot(uint32_t slot) const;
 
-  /// Inner insert once validation is done.
-  void InsertEncoded(const Triple& t);
+  /// Inner Tag once validation is done.
+  void TagEncoded(const Triple& t, Tags tags);
 
   /// Drops tombstoned slots and rebuilds posting lists / the present map
   /// when the dead fraction crosses kCompactDeadFraction. Slot ids are
@@ -159,8 +175,8 @@ class TripleStore {
   static constexpr double kCompactDeadFraction = 0.5;
 
   TermDictionary dict_;
-  std::vector<IdTriple> slots_;  // erased slots tombstoned via live_
-  std::vector<bool> live_;       // parallel to slots_
+  std::vector<IdTriple> slots_;  // erased slots tombstoned via tags_
+  std::vector<Tags> tags_;       // parallel to slots_; 0 = tombstone
   /// Dedup + Contains + O(1) erase: encoded triple -> live slot.
   std::unordered_map<IdTriple, uint32_t, IdTripleHash> present_;
   PostingMap by_subject_;

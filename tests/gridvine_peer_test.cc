@@ -229,9 +229,11 @@ TEST_F(GridVineTest, RecordFetchesShipOnlyTheirRecordKind) {
                       "organism " + std::to_string(i)));
   }
   ASSERT_TRUE(net_.InsertTriples(1, batch).ok());
+  const TriplePattern organisms(Term::Var("s"), Term::Uri("EMBL#Organism"),
+                                Term::Var("o"));
   for (size_t i = 0; i < net_.size(); ++i) {
     if (!net_.peer(i)->overlay()->IsResponsibleFor(schema_key)) continue;
-    EXPECT_GE(net_.peer(i)->overlay()->storage().count(schema_key), 120u);
+    EXPECT_GE(net_.peer(i)->local_db().Select(organisms).size(), 120u);
   }
 
   EXPECT_EQ(schema_bytes(), schema_before);
@@ -427,6 +429,89 @@ TEST_F(GridVineTest, RemoveTripleMakesItUnfindable) {
   auto res = net_.SearchFor(3, OrganismQuery("EMBL#Organism", "%Penicillium%"));
   ASSERT_TRUE(res.status.ok());
   EXPECT_TRUE(res.items.empty());
+}
+
+/// One peer answers every key, so all three of a triple's index entries are
+/// filed at it, and DB_p must keep the row while any of them is.
+class GridVineOnePeerTest : public ::testing::Test {
+ protected:
+  GridVineOnePeerTest() : net_(MakeOptions()) {}
+
+  static GridVineNetwork::Options MakeOptions() {
+    GridVineNetwork::Options o;
+    o.num_peers = 1;
+    o.key_depth = 12;
+    o.seed = 5;
+    return o;
+  }
+
+  GridVinePeer* peer() { return net_.peer(0); }
+  Key KeyOf(const std::string& term) { return peer()->hasher()(term); }
+
+  /// One overlay Update or Remove of t_ under the key of `term`.
+  void Apply(UpdateOp op, const std::string& term) {
+    bool done = false;
+    auto cb = [&done](Result<PGridPeer::Reply> r) {
+      EXPECT_TRUE(r.ok()) << r.status();
+      done = true;
+    };
+    if (op == UpdateOp::kInsert) {
+      peer()->overlay()->Update(KeyOf(term), t_.Serialize(), cb);
+    } else {
+      peer()->overlay()->Remove(KeyOf(term), t_.Serialize(), cb);
+    }
+    net_.Settle();
+    EXPECT_TRUE(done) << term;
+  }
+
+  size_t Rows() {
+    auto res = net_.SearchFor(0, OrganismQuery("A#p", "zeta"));
+    EXPECT_TRUE(res.status.ok()) << res.status;
+    return res.items.size();
+  }
+
+  GridVineNetwork net_;
+  const Triple t_ = T("a:s1", "A#p", "zeta");
+};
+
+TEST_F(GridVineOnePeerTest, RemoveUnderOneKeyKeepsTheRow) {
+  ASSERT_TRUE(net_.InsertTriple(0, t_).ok());
+  ASSERT_EQ(Rows(), 1u);
+  Apply(UpdateOp::kDelete, "a:s1");  // the subject's entry only
+  EXPECT_EQ(Rows(), 1u);
+  Apply(UpdateOp::kDelete, "A#p");
+  EXPECT_EQ(Rows(), 1u);
+  Apply(UpdateOp::kDelete, "zeta");
+  EXPECT_EQ(Rows(), 0u);
+  EXPECT_TRUE(peer()->local_db().empty());
+}
+
+TEST_F(GridVineOnePeerTest, ReappliedUpdateAndForeignRemoveChangeNothing) {
+  ASSERT_TRUE(net_.InsertTriple(0, t_).ok());
+  const uint64_t version = peer()->local_db().version();
+  for (const char* term : {"a:s1", "A#p", "zeta"}) {
+    ASSERT_NE(KeyOf("elsewhere"), KeyOf(term));
+  }
+  Apply(UpdateOp::kInsert, "zeta");
+  Apply(UpdateOp::kDelete, "elsewhere");  // none of the triple's keys
+  EXPECT_EQ(peer()->local_db().version(), version);
+  EXPECT_EQ(peer()->local_db().size(), 1u);
+  EXPECT_EQ(peer()->overlay()->StorageSize(), 0u);
+  Apply(UpdateOp::kDelete, "a:s1");
+  Apply(UpdateOp::kDelete, "A#p");
+  EXPECT_EQ(Rows(), 1u);  // the object's entry still holds it
+}
+
+TEST_F(GridVineOnePeerTest, OverlayStorageHoldsOnlyRecords) {
+  ASSERT_TRUE(net_.InsertSchema(0, Schema("A", "dom", {"p"})).ok());
+  ASSERT_TRUE(net_.InsertTriples(0, {t_, T("a:s2", "A#p", "eta")}).ok());
+  ASSERT_TRUE(net_.PublishDegree(0, "dom", "A", 0, 1).ok());
+  EXPECT_EQ(peer()->local_db().size(), 2u);
+  EXPECT_EQ(peer()->overlay()->StorageSize(), 2u);
+  for (const auto& [key, value] : peer()->overlay()->storage()) {
+    EXPECT_TRUE(value.starts_with("schema|") || value.starts_with("conn|"))
+        << value;
+  }
 }
 
 TEST_F(GridVineTest, DegreeRegistryKeepsLatestVersion) {

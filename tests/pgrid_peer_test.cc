@@ -430,15 +430,6 @@ TEST_F(PGridPeerTest, UpdateIsReplicatedToReplicaSet) {
   EXPECT_EQ(peer(2)->StorageSize() + peer(3)->StorageSize(), 2u);
 }
 
-TEST_F(PGridPeerTest, EvictForeignEntries) {
-  peer(0)->InsertLocal(K("0000"), "mine");
-  peer(0)->InsertLocal(K("1100"), "foreign");
-  auto evicted = peer(0)->EvictForeignEntries();
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].second, "foreign");
-  EXPECT_EQ(peer(0)->StorageSize(), 1u);
-}
-
 TEST_F(PGridPeerTest, CountersTrackTraffic) {
   peer(3)->InsertLocal(K("1100"), "v");
   peer(0)->Retrieve(K("1100"), [](Result<PGridPeer::Reply>) {});

@@ -129,26 +129,6 @@ TEST(RoutingTableTest, NextHopSkipsWholeAvoidSet) {
   EXPECT_EQ(*hop, 5u);
 }
 
-TEST(RoutingTableTest, LeastLoadedPicksMinimumUnderAvoidLadder) {
-  RoutingTable rt(4);
-  rt.SetPath(K("0"));
-  rt.AddRef(0, 1);
-  rt.AddRef(0, 2);
-  rt.AddRef(0, 3);
-  auto load = [](NodeId id) { return id == 1 ? uint64_t{5} : uint64_t{1}; };
-  const RefSpan refs = rt.RefsAt(0);
-  // Ties go to slot order.
-  EXPECT_EQ(RoutingTable::LeastLoaded(refs, load), std::optional<NodeId>(2));
-  const NodeId sender[] = {2};
-  EXPECT_EQ(RoutingTable::LeastLoaded(refs, load, sender),
-            std::optional<NodeId>(3));
-  // Everything avoided: only the last entry stays avoided.
-  const NodeId all[] = {1, 2, 3};
-  EXPECT_EQ(RoutingTable::LeastLoaded(refs, load, all),
-            std::optional<NodeId>(2));
-  EXPECT_EQ(RoutingTable::LeastLoaded(rt.RefsAt(5), load), std::nullopt);
-}
-
 /// Reference model of the pre-flattening layout (one vector per level) used
 /// to differentially test the contiguous-block implementation under random
 /// operation sequences.

@@ -227,6 +227,84 @@ TEST_F(TripleStoreTest, CompactionPreservesResultsUnderMassErase) {
                                        Term::Var("o"))).size(), 1u);
 }
 
+// Tags: a triple stays while any of its tags is set.
+constexpr TripleStore::Tags kS = 1, kP = 2, kO = 4;
+
+TEST(TripleStoreTagTest, TripleStaysWhileAnyTagIsSet) {
+  TripleStore store;
+  const Triple t = T("s", "p", "o");
+  ASSERT_TRUE(store.Tag(t, kS).ok());
+  ASSERT_TRUE(store.Tag(t, kP | kO).ok());
+  EXPECT_FALSE(store.Untag(t, kS));
+  EXPECT_FALSE(store.Untag(t, kP));
+  EXPECT_TRUE(store.Contains(t));
+  EXPECT_TRUE(store.Untag(t, kO));
+  EXPECT_FALSE(store.Contains(t));
+  EXPECT_TRUE(store.empty());
+}
+
+TEST(TripleStoreTagTest, ClearingAbsentTagsChangesNothing) {
+  TripleStore store;
+  const Triple t = T("s", "p", "o");
+  ASSERT_TRUE(store.Tag(t, kS).ok());
+  const uint64_t version = store.version();
+  EXPECT_FALSE(store.Untag(t, kP | kO));
+  EXPECT_FALSE(store.Untag(T("s", "p", "other"), kS));
+  EXPECT_TRUE(store.Contains(t));
+  EXPECT_EQ(store.version(), version);
+  EXPECT_TRUE(store.Untag(t, kS));  // still tagged kS alone
+}
+
+TEST(TripleStoreTagTest, EraseClearsEveryTag) {
+  TripleStore store;
+  const Triple t = T("s", "p", "o");
+  ASSERT_TRUE(store.Tag(t, kS | kO).ok());
+  EXPECT_TRUE(store.Erase(t));
+  EXPECT_FALSE(store.Contains(t));
+  // Re-tagged, it carries only the new tag: none of the erased ones is left.
+  ASSERT_TRUE(store.Tag(t, kP).ok());
+  EXPECT_TRUE(store.Untag(t, kP));
+}
+
+TEST(TripleStoreTagTest, TagChangeOnStayingTripleKeepsVersion) {
+  TripleStore store;
+  const Triple t = T("s", "p", "o");
+  ASSERT_TRUE(store.Tag(t, kS).ok());
+  const uint64_t entered = store.version();
+  ASSERT_TRUE(store.Tag(t, kP).ok());
+  ASSERT_TRUE(store.Tag(t, kP).ok());
+  EXPECT_FALSE(store.Untag(t, kS));
+  EXPECT_EQ(store.version(), entered);
+  EXPECT_TRUE(store.Untag(t, kP));
+  EXPECT_GT(store.version(), entered);  // leaving moves it
+}
+
+TEST(TripleStoreTagTest, TagsSurviveCompaction) {
+  TripleStore store;
+  auto nth = [](int i) {
+    return T(std::string("s").append(std::to_string(i)), "p",
+             std::string("o").append(std::to_string(i)));
+  };
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(store.Tag(nth(i), i % 2 == 0 ? kS : kP | kO).ok());
+  }
+  // Erasing 60 crosses the dead-fraction threshold: compaction renumbers.
+  const uint64_t before = store.version();
+  for (int i = 0; i < 60; ++i) ASSERT_TRUE(store.Erase(nth(i)));
+  EXPECT_GT(store.version(), before + 60);  // one bump was the compaction
+  for (int i = 60; i < 100; ++i) {
+    if (i % 2 == 0) {
+      EXPECT_FALSE(store.Untag(nth(i), kP | kO));
+      EXPECT_TRUE(store.Untag(nth(i), kS)) << i;
+    } else {
+      EXPECT_FALSE(store.Untag(nth(i), kS));
+      EXPECT_FALSE(store.Untag(nth(i), kP));
+      EXPECT_TRUE(store.Untag(nth(i), kO)) << i;
+    }
+  }
+  EXPECT_TRUE(store.empty());
+}
+
 // Property sweep: store N triples, every one findable by each index.
 class TripleStorePropertyTest : public ::testing::TestWithParam<int> {};
 
