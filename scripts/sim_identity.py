@@ -3,6 +3,7 @@
 
   scripts/sim_identity.py PARENT_ROOT CHANGE_ROOT [--seeds 1-5]
                           [--workloads W ...] [--trace]
+                          [--allow PATTERN ...]
 
 Runs each checkout's own `benchmark/run.sh --seconds 1` for every workload
 and seed (building it there on first use), then compares the last result
@@ -11,8 +12,13 @@ metric except those measured in host time or memory. Simulated metrics do
 not depend on run length, so one second per run is enough. `--trace`
 compares the traced runs' per-layer metrics instead of the end-to-end ones.
 
-Prints every metric that differs. Exits 1 on any difference or on any run
-that fails, 0 otherwise. Standard library only.
+`--allow PATTERN` (repeatable, fnmatch like SKIPPED) names metrics a change
+moves on purpose: an allowed metric that differs is still printed, marked
+"(allowed)", but does not fail the check. `correct`, `attempted` and
+`failed` cannot be allowed.
+
+Prints every metric that differs. Exits 1 on any difference that is not
+allowed or on any run that fails, 0 otherwise. Standard library only.
 """
 
 import argparse
@@ -25,6 +31,9 @@ import tempfile
 
 WORKLOADS = ["lookup_planetlab", "selforg_mediation", "serving_flash_crowd",
              "scale_sharded"]
+
+# Compared on every run, whatever --allow says.
+ALWAYS_COMPARED = ("correct", "attempted", "failed")
 
 # Host-time and memory metrics: they move from run to run on one checkout.
 SKIPPED = ["setup_s", "run_s", "host_op_us_*", "peak_rss_mb",
@@ -42,8 +51,12 @@ def parse_seeds(text):
     return seeds
 
 
-def skipped(metric):
-    return any(fnmatch.fnmatchcase(metric, p) for p in SKIPPED)
+def matches(metric, patterns):
+    return any(fnmatch.fnmatchcase(metric, p) for p in patterns)
+
+
+def allowed(name, patterns):
+    return name not in ALWAYS_COMPARED and matches(name, patterns)
 
 
 def run(root, workload, seed, trace, out):
@@ -66,12 +79,12 @@ def differences(parent, change):
     """(name, parent value, change value) for each compared field that
     differs."""
     out = []
-    for key in ("correct", "attempted", "failed"):
+    for key in ALWAYS_COMPARED:
         if parent.get(key) != change.get(key):
             out.append((key, parent.get(key), change.get(key)))
     pm, cm = parent.get("metrics", {}), change.get("metrics", {})
     for name in sorted(set(pm) | set(cm)):
-        if skipped(name):
+        if matches(name, SKIPPED):
             continue
         pv = pm.get(name, {}).get("value")
         cv = cm.get(name, {}).get("value")
@@ -89,6 +102,9 @@ def main():
                     choices=WORKLOADS)
     ap.add_argument("--trace", action="store_true",
                     help="compare traced runs (per-layer metrics)")
+    ap.add_argument("--allow", action="append", default=[],
+                    metavar="PATTERN",
+                    help="metric (fnmatch) that may differ; repeatable")
     args = ap.parse_args()
 
     roots = [os.path.abspath(args.parent_root),
@@ -110,9 +126,14 @@ def main():
                 if not diffs:
                     print("%s: identical" % label)
                     continue
-                status = 1
                 for name, pv, cv in diffs:
-                    print("%s: %s differs: %r -> %r" % (label, name, pv, cv))
+                    mark = ""
+                    if allowed(name, args.allow):
+                        mark = " (allowed)"
+                    else:
+                        status = 1
+                    print("%s: %s differs: %r -> %r%s" % (label, name, pv, cv,
+                                                         mark))
     return status
 
 

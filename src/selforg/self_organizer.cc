@@ -60,13 +60,28 @@ const MappingGraph& SelfOrganizer::SyncGraphView() {
 }
 
 Status SelfOrganizer::PublishAllDegrees() {
-  const MappingGraph& graph = SyncGraphView();
+  SyncGraphView();
+  return PublishChangedDegrees();
+}
+
+Status SelfOrganizer::PublishChangedDegrees() {
+  Status first_error = Status::OK();
   for (const auto& [schema, owner] : owners_) {
-    GV_RETURN_NOT_OK(net_->PublishDegree(owner, options_.domain, schema,
-                                         graph.InDegree(schema),
-                                         graph.OutDegree(schema)));
+    const std::pair<int, int> degrees(view_.InDegree(schema),
+                                      view_.OutDegree(schema));
+    auto it = published_degrees_.find(schema);
+    if (it != published_degrees_.end() && it->second == degrees) continue;
+    Status s = net_->PublishDegree(owner, options_.domain, schema,
+                                   degrees.first, degrees.second);
+    if (s.ok()) {
+      published_degrees_[schema] = degrees;
+    } else {
+      // The record may or may not have landed: publish again next time.
+      published_degrees_.erase(schema);
+      if (first_error.ok()) first_error = s;
+    }
   }
-  return Status::OK();
+  return first_error;
 }
 
 Result<double> SelfOrganizer::ComputeIndicator() {
@@ -119,18 +134,41 @@ std::set<std::string> SelfOrganizer::SampleSubjects(const Schema& schema) {
   return subjects;
 }
 
+Result<const Schema*> SelfOrganizer::SchemaOf(RoundSnapshot* round,
+                                              const std::string& name) {
+  auto it = round->schemas.find(name);
+  if (it == round->schemas.end()) {
+    auto schema = net_->FetchSchema(OwnerOf(name), name);
+    if (!schema.ok()) return schema.status();
+    it = round->schemas.emplace(name, std::move(schema).value()).first;
+  }
+  return &it->second;
+}
+
+const AttributeMatcher::ValueSets& SelfOrganizer::ValueSetsOf(
+    RoundSnapshot* round, const Schema& schema) {
+  auto [it, fresh] = round->value_sets.try_emplace(schema.name());
+  if (fresh) it->second = SampleValueSets(schema);
+  return it->second;
+}
+
 std::vector<std::pair<std::string, std::string>>
 SelfOrganizer::SelectCandidatePairs(const MappingGraph& graph, int count) {
+  RoundSnapshot round;
+  return SelectCandidatePairs(graph, count, &round);
+}
+
+std::vector<std::pair<std::string, std::string>>
+SelfOrganizer::SelectCandidatePairs(const MappingGraph& graph, int count,
+                                    RoundSnapshot* round) {
   // Instance evidence: schemas sharing subject references are describing the
   // same entities (the paper's "shared references to the same protein
   // sequence"), making them prime mapping candidates.
   std::map<std::string, std::set<std::string>> subjects;
-  std::map<std::string, Schema> schemas;
   for (const auto& [name, owner] : owners_) {
-    auto schema = net_->FetchSchema(owner, name);
+    auto schema = SchemaOf(round, name);
     if (!schema.ok()) continue;
-    schemas[name] = *schema;
-    subjects[name] = SampleSubjects(*schema);
+    subjects[name] = SampleSubjects(**schema);
   }
 
   struct Candidate {
@@ -138,8 +176,8 @@ SelfOrganizer::SelectCandidatePairs(const MappingGraph& graph, int count) {
     size_t shared;
   };
   std::vector<Candidate> candidates;
-  for (auto ia = schemas.begin(); ia != schemas.end(); ++ia) {
-    for (auto ib = std::next(ia); ib != schemas.end(); ++ib) {
+  for (auto ia = subjects.begin(); ia != subjects.end(); ++ia) {
+    for (auto ib = std::next(ia); ib != subjects.end(); ++ib) {
       const std::string& a = ia->first;
       const std::string& b = ib->first;
       // Skip pairs already linked by an active mapping in either direction.
@@ -172,14 +210,19 @@ SelfOrganizer::SelectCandidatePairs(const MappingGraph& graph, int count) {
 
 Result<SchemaMapping> SelfOrganizer::CreateMapping(const std::string& source,
                                                    const std::string& target) {
-  auto src = net_->FetchSchema(OwnerOf(source), source);
-  if (!src.ok()) return src.status();
-  auto dst = net_->FetchSchema(OwnerOf(target), target);
-  if (!dst.ok()) return dst.status();
+  RoundSnapshot round;
+  return CreateMapping(source, target, &round);
+}
+
+Result<SchemaMapping> SelfOrganizer::CreateMapping(const std::string& source,
+                                                   const std::string& target,
+                                                   RoundSnapshot* round) {
+  GV_ASSIGN_OR_RETURN(const Schema* src, SchemaOf(round, source));
+  GV_ASSIGN_OR_RETURN(const Schema* dst, SchemaOf(round, target));
 
   AttributeMatcher matcher(options_.matcher);
-  AttributeMatcher::ValueSets src_values = SampleValueSets(*src);
-  AttributeMatcher::ValueSets dst_values = SampleValueSets(*dst);
+  const AttributeMatcher::ValueSets& src_values = ValueSetsOf(round, *src);
+  const AttributeMatcher::ValueSets& dst_values = ValueSetsOf(round, *dst);
   // Optional cosine channel: vectors are derived locally from the names and
   // the value samples already fetched — no extra network traffic.
   EmbeddingTable src_emb, dst_emb;
@@ -235,14 +278,20 @@ bool SelfOrganizer::PushMappingUpdate(const SchemaMapping& updated) {
 }
 
 std::vector<std::string> SelfOrganizer::RepairStaleMappings() {
+  RoundSnapshot round;
+  return RepairStaleMappings(&round);
+}
+
+std::vector<std::string> SelfOrganizer::RepairStaleMappings(
+    RoundSnapshot* round) {
   // Current schema definitions, as stored (evolution arrives via
-  // UpsertSchema, so the fetch reflects the latest state).
+  // UpsertSchema, so a fetch made this round reflects the latest state).
   std::map<std::string, std::set<std::string>> attrs;
   for (const auto& [name, owner] : owners_) {
-    auto schema = net_->FetchSchema(owner, name);
+    auto schema = SchemaOf(round, name);
     if (!schema.ok()) continue;  // unreachable: cannot judge, skip
     auto& set = attrs[name];
-    for (const auto& uri : schema->AttributeUris()) set.insert(uri);
+    for (const auto& uri : (*schema)->AttributeUris()) set.insert(uri);
   }
 
   // Active mappings whose correspondences dangle (either endpoint renamed
@@ -282,17 +331,23 @@ std::vector<std::string> SelfOrganizer::RepairStaleMappings() {
 SelfOrganizer::RoundReport SelfOrganizer::RunRound() {
   RoundReport report;
   ++rounds_run_;
+  // The round's one sync. From here on the view stays current because every
+  // write the round makes is mirrored into it (PushMappingUpdate, and the
+  // created mappings below); `round` holds the round's schema fetches and
+  // samples.
   SyncGraphView();
+  RoundSnapshot round;
 
   // Step 0 (agreement maintenance): schemas may have evolved since the last
   // round; mappings with dangling correspondences are deprecated so the
   // creation step can re-derive them against the current definitions.
-  report.stale_deprecated_ids = RepairStaleMappings();
+  report.stale_deprecated_ids = RepairStaleMappings(&round);
   report.mappings_stale_deprecated = report.stale_deprecated_ids.size();
   total_stale_deprecated_ += report.mappings_stale_deprecated;
 
-  // Step 1+2: publish degrees, read the indicator back from the registry.
-  PublishAllDegrees().ok();
+  // Step 1+2: publish the degrees that changed, read the indicator back from
+  // the registry.
+  PublishChangedDegrees().ok();
   auto ci = ComputeIndicator();
   report.ci_before = ci.ok() ? *ci : 0.0;
   GV_CLOG("selforg", Debug) << "round start: ci=" << report.ci_before;
@@ -314,8 +369,8 @@ SelfOrganizer::RoundReport SelfOrganizer::RunRound() {
   bool fragmented = view_.schema_count() > 1 && !view_.IsStronglyConnected();
   if (!ci.ok() || *ci < 0 || has_isolated_schema || fragmented) {
     for (const auto& [a, b] :
-         SelectCandidatePairs(view_, options_.creations_per_round)) {
-      auto created = CreateMapping(a, b);
+         SelectCandidatePairs(view_, options_.creations_per_round, &round)) {
+      auto created = CreateMapping(a, b, &round);
       if (created.ok()) {
         ++report.mappings_created;
         report.created_ids.push_back(created->id());
@@ -328,7 +383,6 @@ SelfOrganizer::RoundReport SelfOrganizer::RunRound() {
 
   // Step 4: assess automatic mappings; deprecate the bad ones. Only the
   // dirty region of the maintained factor graph re-converges (capped).
-  SyncGraphView();
   IncrementalAssessor::UpdateStats stats = inc_assessor_.Update();
   report.bp_messages = stats.messages;
   report.bp_converged = stats.converged;
@@ -350,7 +404,7 @@ SelfOrganizer::RoundReport SelfOrganizer::RunRound() {
   total_deprecated_ += report.mappings_deprecated;
 
   // Refresh the registry and report the post-round state.
-  PublishAllDegrees().ok();
+  PublishChangedDegrees().ok();
   auto ci_after = ComputeIndicator();
   report.ci_after = ci_after.ok() ? *ci_after : 0.0;
   report.scc_fraction_after = view_.LargestSccFraction();

@@ -29,10 +29,13 @@ namespace gridvine {
 ///      deprecates those whose posterior correctness falls below threshold,
 ///      making room for new mapping paths.
 ///
-/// Each RunRound() performs one such round. All state flows through the DHT
-/// (schema/mapping/degree records) exactly as individual peers would do it;
-/// the organizer itself holds only the owner assignment (which peer is
-/// responsible for which schema).
+/// Each RunRound() performs one such round. Every record the organizer acts
+/// on flows through the DHT (schema/mapping/degree records) exactly as
+/// individual peers would do it. Across rounds the organizer keeps the owner
+/// assignment (which peer is responsible for which schema), its view of the
+/// mapping graph with the factor graph attached to it, and the degrees it
+/// last published successfully for each schema. Nothing fetched or sampled
+/// within a round outlives it.
 class SelfOrganizer {
  public:
   struct Options {
@@ -55,7 +58,11 @@ class SelfOrganizer {
   /// Declares that `peer_idx` owns (stores/publishes) `schema`.
   void RegisterSchemaOwner(const std::string& schema, size_t peer_idx);
 
-  /// Publishes current degrees for every registered schema (step 1).
+  /// Step 1 outside a round: syncs the view from the DHT, then publishes the
+  /// degrees of every registered schema whose (in, out) differs from this
+  /// organizer's last successful publish of it. Every such schema is
+  /// attempted even when one owner is unreachable; returns the first error.
+  /// A failed publish is not remembered, so the next call retries it.
   Status PublishAllDegrees();
 
   /// Crawls the mediation layer through the DHT: domain registry ->
@@ -85,7 +92,12 @@ class SelfOrganizer {
     std::vector<std::string> stale_deprecated_ids;
   };
 
-  /// One full self-organization round (steps 1-4).
+  /// One full self-organization round (steps 1-4), worked from one snapshot
+  /// of the mediation layer: the view is synced once, at the start, and then
+  /// kept current by mirroring the organizer's own writes; each schema is
+  /// fetched, and its subjects and value sets sampled, at most once; a
+  /// degree record is rewritten only when its (in, out) changed. The
+  /// snapshot is dropped when the round ends.
   RoundReport RunRound();
 
   /// Continuous background operation: advances simulated time by `interval`
@@ -97,12 +109,14 @@ class SelfOrganizer {
   /// Re-syncs the persistent graph view from the DHT. Unchanged records are
   /// no-ops (MappingGraph re-intern semantics); genuine changes flow as
   /// events into the incremental assessor. Fetches that fail (owner down)
-  /// leave the previous view of that schema in place.
+  /// leave the previous view of that schema in place. RunRound calls it once,
+  /// at its start; a push whose ack was lost but whose record landed shows up
+  /// at the next round's sync.
   const MappingGraph& SyncGraphView();
 
   /// Agreement maintenance: deprecates active mappings with correspondences
   /// referencing attributes no longer present in the (possibly evolved)
-  /// schema definitions. Returns the deprecated ids.
+  /// schema definitions, as fetched now. Returns the deprecated ids.
   std::vector<std::string> RepairStaleMappings();
 
   /// gv.selforg.* counters into `registry` (wire into
@@ -131,6 +145,34 @@ class SelfOrganizer {
   size_t OwnerOf(const std::string& schema) const;
 
  private:
+  /// What one round reads from the network, filled on first use and dropped
+  /// when the round ends. A fetch that fails is not remembered, so a later
+  /// step of the same round may try it again.
+  struct RoundSnapshot {
+    std::map<std::string, Schema> schemas;
+    std::map<std::string, AttributeMatcher::ValueSets> value_sets;
+  };
+
+  /// `name`'s definition, fetched from its owner on first use this round.
+  Result<const Schema*> SchemaOf(RoundSnapshot* round,
+                                 const std::string& name);
+  /// SampleValueSets(schema), at most once a round. (Subjects are sampled
+  /// only by SelectCandidatePairs, which runs once a round.)
+  const AttributeMatcher::ValueSets& ValueSetsOf(RoundSnapshot* round,
+                                                 const Schema& schema);
+
+  // The public steps above, reading through `round`.
+  std::vector<std::string> RepairStaleMappings(RoundSnapshot* round);
+  std::vector<std::pair<std::string, std::string>> SelectCandidatePairs(
+      const MappingGraph& graph, int count, RoundSnapshot* round);
+  Result<SchemaMapping> CreateMapping(const std::string& source,
+                                      const std::string& target,
+                                      RoundSnapshot* round);
+
+  /// Publishes the view's degrees of every schema whose (in, out) differs
+  /// from `published_degrees_`; see PublishAllDegrees.
+  Status PublishChangedDegrees();
+
   /// Subjects observed under any attribute of `schema` (instance sample).
   std::set<std::string> SampleSubjects(const Schema& schema);
 
@@ -148,6 +190,10 @@ class SelfOrganizer {
   /// Persistent mapping-graph view + maintained factor graph.
   MappingGraph view_;
   IncrementalAssessor inc_assessor_;
+  /// (in, out) of each schema's last degree publish that was acknowledged.
+  /// The peer's own record of what it sent cannot stand in: it is set
+  /// before the write is acknowledged.
+  std::map<std::string, std::pair<int, int>> published_degrees_;
 
   // Lifetime counters behind PublishMetrics.
   uint64_t rounds_run_ = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,30 @@ class SelfOrganizerTest : public ::testing::Test {
     }
   }
 
+  /// Client operations issued network-wide so far (removes count as
+  /// updates).
+  struct Traffic {
+    uint64_t retrieves = 0;
+    uint64_t updates = 0;
+    uint64_t queries = 0;
+  };
+  Traffic IssuedSoFar() {
+    MetricsRegistry& m = net_.CollectMetrics();
+    return Traffic{m.Counter("pgrid.retrieves_issued"),
+                   m.Counter("pgrid.updates_issued"),
+                   m.Counter("gv.queries_issued")};
+  }
+
+  std::set<std::string> SchemasInRegistry(size_t reader) {
+    auto records = net_.FetchDomainDegrees(reader, OrgOptions().domain);
+    EXPECT_TRUE(records.ok()) << records.status();
+    std::set<std::string> schemas;
+    if (records.ok()) {
+      for (const auto& rec : *records) schemas.insert(rec.schema);
+    }
+    return schemas;
+  }
+
   GridVineNetwork net_;
   BioWorkload workload_;
   std::unique_ptr<SelfOrganizer> organizer_;
@@ -74,6 +99,38 @@ TEST_F(SelfOrganizerTest, IndicatorNegativeWithoutMappings) {
   // graph is certainly not strongly connected.
   EXPECT_LE(*ci, 0.0);
   EXPECT_LT(organizer_->BuildGraphView().LargestSccFraction(), 1.0);
+}
+
+TEST_F(SelfOrganizerTest, PublishAllDegreesGetsPastAnUnreachableOwner) {
+  // Schemas publish in name order; take the owner of the first one down.
+  const auto& schemas = workload_.schemas();
+  size_t down = 0;
+  for (size_t s = 1; s < schemas.size(); ++s) {
+    if (schemas[s].name() < schemas[down].name()) down = s;
+  }
+  const size_t reader = (down + 1) % schemas.size();
+  net_.SetAlive(down, false);
+  EXPECT_FALSE(organizer_->PublishAllDegrees().ok());
+  std::set<std::string> published = SchemasInRegistry(reader);
+  EXPECT_EQ(published.size(), schemas.size() - 1);
+  EXPECT_FALSE(published.count(schemas[down].name()));
+
+  // Back up, the owner publishes although its degrees did not change: only
+  // an acknowledged publish counts. The others are not rewritten.
+  net_.SetAlive(down, true);
+  std::vector<uint64_t> updates_before;
+  for (size_t s = 0; s < schemas.size(); ++s) {
+    updates_before.push_back(
+        net_.peer(s)->overlay()->counters().updates_issued);
+  }
+  EXPECT_TRUE(organizer_->PublishAllDegrees().ok());
+  EXPECT_EQ(SchemasInRegistry(reader).size(), schemas.size());
+  for (size_t s = 0; s < schemas.size(); ++s) {
+    if (s == down) continue;
+    EXPECT_EQ(net_.peer(s)->overlay()->counters().updates_issued,
+              updates_before[s])
+        << schemas[s].name() << " rewrote an unchanged degree record";
+  }
 }
 
 TEST_F(SelfOrganizerTest, GraphViewSeesInsertedMappings) {
@@ -141,6 +198,63 @@ TEST_F(SelfOrganizerTest, RoundsDriveNetworkTowardInteroperability) {
   auto ci = organizer_->ComputeIndicator();
   ASSERT_TRUE(ci.ok());
   EXPECT_GE(*ci, 0.0);
+}
+
+TEST_F(SelfOrganizerTest, SteadyRoundReadsOnceAndWritesNothing) {
+  bool quiet = false;
+  for (int round = 0; round < 8 && !quiet; ++round) {
+    auto report = organizer_->RunRound();
+    quiet = report.mappings_created == 0 && report.mappings_deprecated == 0 &&
+            report.mappings_stale_deprecated == 0 &&
+            report.scc_fraction_after >= 1.0;
+  }
+  ASSERT_TRUE(quiet) << "no round without changes";
+
+  const Traffic before = IssuedSoFar();
+  auto report = organizer_->RunRound();
+  const Traffic after = IssuedSoFar();
+  ASSERT_EQ(report.mappings_created + report.mappings_deprecated +
+                report.mappings_stale_deprecated,
+            0u);
+  const uint64_t n = workload_.schemas().size();
+  // One mapping-list fetch and one schema fetch per schema, and the two
+  // registry reads; no degree changed, so none is rewritten; nothing is
+  // created, so nothing is sampled.
+  EXPECT_EQ(after.retrieves - before.retrieves, 2 * n + 2);
+  EXPECT_EQ(after.updates - before.updates, 0u);
+  EXPECT_EQ(after.queries - before.queries, 0u);
+}
+
+TEST_F(SelfOrganizerTest, CreationRoundFetchesAndSamplesEachSchemaOnce) {
+  // From zero mappings the first round tries to map 3 pairs of 5 schemas,
+  // so at least one schema takes part in two of them.
+  const auto& schemas = workload_.schemas();
+  std::vector<uint64_t> queries_before;
+  for (size_t s = 0; s < schemas.size(); ++s) {
+    queries_before.push_back(net_.peer(s)->counters().queries_issued);
+  }
+  const Traffic before = IssuedSoFar();
+  auto report = organizer_->RunRound();
+  const Traffic after = IssuedSoFar();
+  ASSERT_GT(report.mappings_created, 0u);
+
+  // Schema s is sampled from its owner, peer s, one query per attribute:
+  // its subjects once (candidate selection), its value sets at most once
+  // (matching).
+  for (size_t s = 0; s < schemas.size(); ++s) {
+    const uint64_t attrs = schemas[s].AttributeUris().size();
+    const uint64_t issued =
+        net_.peer(s)->counters().queries_issued - queries_before[s];
+    EXPECT_TRUE(issued == attrs || issued == 2 * attrs)
+        << schemas[s].name() << ": " << issued << " queries for " << attrs
+        << " attributes";
+  }
+  // One mapping-list fetch and one schema fetch per schema, the two registry
+  // reads, and the read that each deprecation's upsert makes first.
+  const uint64_t n = schemas.size();
+  EXPECT_EQ(after.retrieves - before.retrieves,
+            2 * n + 2 + report.mappings_deprecated +
+                report.mappings_stale_deprecated);
 }
 
 TEST_F(SelfOrganizerTest, CreateMappingFailsForUnknownSchema) {
