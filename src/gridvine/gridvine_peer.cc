@@ -48,6 +48,9 @@ constexpr std::string_view kSchemaTag = "schema|";
 constexpr std::string_view kMappingTag = "mapping|";
 constexpr std::string_view kDegreeTag = "conn|";
 
+/// OverlayRequest's operation for a Retrieve.
+constexpr std::optional<UpdateOp> kRetrieve = std::nullopt;
+
 /// Aggregates N update acknowledgements into one status callback: the first
 /// error wins; OK once all arrive.
 class AckAggregator : public std::enable_shared_from_this<AckAggregator> {
@@ -148,6 +151,54 @@ bool GridVinePeer::KeepTriple(UpdateOp op, const Key& key,
   return true;
 }
 
+// --- Remembered responders -----------------------------------------------------
+
+void GridVinePeer::OverlayRequest(std::optional<UpdateOp> op, const Key& key,
+                                  const std::string& value,
+                                  PGridPeer::ReplyCallback cb) {
+  NodeId first_hop = kInvalidNode;
+  if (remembered_ != nullptr && !overlay_->IsResponsibleFor(key)) {
+    auto it = remembered_->peers.find(key);
+    if (it != remembered_->peers.end()) {
+      first_hop = it->second;
+      ++remembered_->first_hops;
+    }
+  }
+  auto done = [this, key, first_hop,
+               cb = std::move(cb)](Result<PGridPeer::Reply> r) {
+    Remember(key, first_hop, r);
+    cb(std::move(r));
+  };
+  if (!op) {
+    overlay_->Retrieve(key, std::move(done), value, first_hop);
+  } else if (*op == UpdateOp::kInsert) {
+    overlay_->Update(key, value, std::move(done), first_hop);
+  } else {
+    overlay_->Remove(key, value, std::move(done), first_hop);
+  }
+}
+
+void GridVinePeer::Remember(const Key& key, NodeId first_hop,
+                            const Result<PGridPeer::Reply>& reply) {
+  if (first_hop != kInvalidNode &&
+      !(reply.ok() && reply->responder == first_hop && reply->hops == 1)) {
+    ++remembered_->misses;
+  }
+  if (!reply.ok()) {
+    if (remembered_ != nullptr) remembered_->peers.erase(key);
+    return;
+  }
+  if (reply->responder == id()) return;  // answered here: nothing to learn
+  if (remembered_ == nullptr) {
+    remembered_ = std::make_unique<RememberedResponders>();
+  }
+  auto& peers = remembered_->peers;
+  if (peers.size() >= kMaxRemembered && !peers.contains(key)) {
+    peers.erase(peers.begin());
+  }
+  peers.insert_or_assign(key, reply->responder);
+}
+
 // --- Mediation-layer updates ---------------------------------------------------
 
 void GridVinePeer::InsertTriple(const Triple& triple, StatusCallback cb) {
@@ -171,22 +222,24 @@ void GridVinePeer::InsertTriples(const std::vector<Triple>& triples,
   for (const Triple& t : triples) {
     // Update(t) = Update(Hash(s), t), Update(Hash(p), t), Update(Hash(o), t).
     std::string value = t.Serialize();
-    overlay_->Update(KeyFor(t.subject().value()), value, agg->MakeCallback());
-    overlay_->Update(KeyFor(t.predicate().value()), value,
-                     agg->MakeCallback());
-    overlay_->Update(KeyFor(t.object().value()), value, agg->MakeCallback());
+    OverlayRequest(UpdateOp::kInsert, KeyFor(t.subject().value()), value,
+                   agg->MakeCallback());
+    OverlayRequest(UpdateOp::kInsert, KeyFor(t.predicate().value()), value,
+                   agg->MakeCallback());
+    OverlayRequest(UpdateOp::kInsert, KeyFor(t.object().value()), value,
+                   agg->MakeCallback());
   }
 }
 
 void GridVinePeer::RemoveTriple(const Triple& triple, StatusCallback cb) {
   std::string value = triple.Serialize();
   auto agg = AckAggregator::Create(3, std::move(cb));
-  overlay_->Remove(KeyFor(triple.subject().value()), value,
-                   agg->MakeCallback());
-  overlay_->Remove(KeyFor(triple.predicate().value()), value,
-                   agg->MakeCallback());
-  overlay_->Remove(KeyFor(triple.object().value()), value,
-                   agg->MakeCallback());
+  OverlayRequest(UpdateOp::kDelete, KeyFor(triple.subject().value()), value,
+                 agg->MakeCallback());
+  OverlayRequest(UpdateOp::kDelete, KeyFor(triple.predicate().value()), value,
+                 agg->MakeCallback());
+  OverlayRequest(UpdateOp::kDelete, KeyFor(triple.object().value()), value,
+                 agg->MakeCallback());
 }
 
 void GridVinePeer::InsertSchema(const Schema& schema, StatusCallback cb) {
@@ -195,10 +248,10 @@ void GridVinePeer::InsertSchema(const Schema& schema, StatusCallback cb) {
     cb(valid);
     return;
   }
-  overlay_->Update(KeyFor(schema.name()), schema.Serialize(),
-                   [cb](Result<PGridPeer::Reply> r) {
-                     cb(r.ok() ? Status::OK() : r.status());
-                   });
+  OverlayRequest(UpdateOp::kInsert, KeyFor(schema.name()), schema.Serialize(),
+                 [cb](Result<PGridPeer::Reply> r) {
+                   cb(r.ok() ? Status::OK() : r.status());
+                 });
 }
 
 void GridVinePeer::UpsertSchema(const Schema& schema, StatusCallback cb) {
@@ -211,8 +264,8 @@ void GridVinePeer::UpsertSchema(const Schema& schema, StatusCallback cb) {
   // returns the first matching record, so an evolved definition inserted
   // alongside the old one would never be seen.
   std::string fresh = schema.Serialize();
-  overlay_->Retrieve(
-      KeyFor(schema.name()),
+  OverlayRequest(
+      kRetrieve, KeyFor(schema.name()), std::string(kSchemaTag),
       [this, schema, fresh, cb](Result<PGridPeer::Reply> r) {
         std::vector<std::string> stale;
         if (r.ok()) {
@@ -227,15 +280,15 @@ void GridVinePeer::UpsertSchema(const Schema& schema, StatusCallback cb) {
         }
         auto agg = AckAggregator::Create(int(stale.size()) + 1, cb);
         for (const auto& value : stale) {
-          overlay_->Remove(KeyFor(schema.name()), value, agg->MakeCallback());
+          OverlayRequest(UpdateOp::kDelete, KeyFor(schema.name()), value,
+                         agg->MakeCallback());
         }
         InsertSchema(schema, [agg](Status s) {
           agg->MakeCallback()(
               s.ok() ? Result<PGridPeer::Reply>(PGridPeer::Reply{})
                      : Result<PGridPeer::Reply>(s));
         });
-      },
-      kSchemaTag);
+      });
 }
 
 namespace {
@@ -256,11 +309,11 @@ void GridVinePeer::InsertMapping(const SchemaMapping& mapping,
   std::string value = mapping.Serialize();
   int copies = StoredAtBothKeySpaces(mapping) ? 2 : 1;
   auto agg = AckAggregator::Create(copies, std::move(cb));
-  overlay_->Update(KeyFor(mapping.source_schema()), value,
-                   agg->MakeCallback());
+  OverlayRequest(UpdateOp::kInsert, KeyFor(mapping.source_schema()), value,
+                 agg->MakeCallback());
   if (StoredAtBothKeySpaces(mapping)) {
-    overlay_->Update(KeyFor(mapping.target_schema()), value,
-                     agg->MakeCallback());
+    OverlayRequest(UpdateOp::kInsert, KeyFor(mapping.target_schema()), value,
+                   agg->MakeCallback());
   }
 }
 
@@ -283,11 +336,12 @@ void GridVinePeer::UpsertMapping(const SchemaMapping& mapping,
         int ops = int(stale.size()) * (StoredAtBothKeySpaces(mapping) ? 2 : 1);
         auto agg = AckAggregator::Create(ops + 1, cb);
         for (const auto& value : stale) {
-          overlay_->Remove(KeyFor(mapping.source_schema()), value,
-                           agg->MakeCallback());
+          OverlayRequest(UpdateOp::kDelete, KeyFor(mapping.source_schema()),
+                         value, agg->MakeCallback());
           if (StoredAtBothKeySpaces(mapping)) {
-            overlay_->Remove(KeyFor(mapping.target_schema()), value,
-                             agg->MakeCallback());
+            OverlayRequest(UpdateOp::kDelete,
+                           KeyFor(mapping.target_schema()), value,
+                           agg->MakeCallback());
           }
         }
         InsertMapping(mapping, [agg](Status s) {
@@ -302,8 +356,9 @@ void GridVinePeer::UpsertMapping(const SchemaMapping& mapping,
 
 void GridVinePeer::FetchSchema(const std::string& name,
                                std::function<void(Result<Schema>)> cb) {
-  overlay_->Retrieve(
-      KeyFor(name), [name, cb](Result<PGridPeer::Reply> r) {
+  OverlayRequest(
+      kRetrieve, KeyFor(name), std::string(kSchemaTag),
+      [name, cb](Result<PGridPeer::Reply> r) {
         if (!r.ok()) {
           cb(r.status());
           return;
@@ -317,15 +372,15 @@ void GridVinePeer::FetchSchema(const std::string& name,
           }
         }
         cb(Status::NotFound("schema not in network: " + name));
-      },
-      kSchemaTag);
+      });
 }
 
 void GridVinePeer::FetchMappingsFor(
     const std::string& schema,
     std::function<void(Result<std::vector<SchemaMapping>>)> cb) {
-  overlay_->Retrieve(
-      KeyFor(schema), [cb](Result<PGridPeer::Reply> r) {
+  OverlayRequest(
+      kRetrieve, KeyFor(schema), std::string(kMappingTag),
+      [cb](Result<PGridPeer::Reply> r) {
         if (!r.ok()) {
           cb(r.status());
           return;
@@ -337,8 +392,7 @@ void GridVinePeer::FetchMappingsFor(
           if (m.ok()) mappings.push_back(std::move(m).value());
         }
         cb(std::move(mappings));
-      },
-      kMappingTag);
+      });
 }
 
 // --- Connectivity registry ------------------------------------------------------
@@ -363,17 +417,20 @@ void GridVinePeer::PublishDegree(const std::string& domain,
   int ops = it != published_degrees_.end() ? 2 : 1;
   auto agg = AckAggregator::Create(ops, std::move(cb));
   if (it != published_degrees_.end()) {
-    overlay_->Remove(KeyFor(domain), it->second, agg->MakeCallback());
+    OverlayRequest(UpdateOp::kDelete, KeyFor(domain), it->second,
+                   agg->MakeCallback());
   }
-  overlay_->Update(KeyFor(domain), record, agg->MakeCallback());
+  OverlayRequest(UpdateOp::kInsert, KeyFor(domain), record,
+                 agg->MakeCallback());
   published_degrees_[prev_key] = record;
 }
 
 void GridVinePeer::FetchDomainDegrees(
     const std::string& domain,
     std::function<void(Result<std::vector<DegreeRecord>>)> cb) {
-  overlay_->Retrieve(
-      KeyFor(domain), [cb](Result<PGridPeer::Reply> r) {
+  OverlayRequest(
+      kRetrieve, KeyFor(domain), std::string(kDegreeTag),
+      [cb](Result<PGridPeer::Reply> r) {
         if (!r.ok()) {
           cb(r.status());
           return;
@@ -403,8 +460,7 @@ void GridVinePeer::FetchDomainDegrees(
         out.reserve(latest.size());
         for (auto& [_, rec] : latest) out.push_back(rec);
         cb(std::move(out));
-      },
-      kDegreeTag);
+      });
 }
 
 // --- Observability --------------------------------------------------------------
@@ -478,6 +534,10 @@ void GridVinePeer::PublishMetrics(MetricsRegistry* metrics) const {
   metrics->Counter("gv.batch.items") += counters_.batch_items;
   metrics->Counter("gv.batch.flushes") += counters_.batch_flushes;
   metrics->Counter("gv.batch.answered") += counters_.batches_answered;
+  metrics->Counter("gv.remembered_first_hops") +=
+      remembered_ ? remembered_->first_hops : 0;
+  metrics->Counter("gv.remembered_misses") +=
+      remembered_ ? remembered_->misses : 0;
 }
 
 // --- Query engine ---------------------------------------------------------------
@@ -1767,6 +1827,12 @@ size_t GridVinePeer::MemoryFootprint() const {
   bytes += RbTreeBytes(recursive_seen_.size(), sizeof(*recursive_seen_.begin()));
   bytes += RbTreeBytes(published_degrees_.size(),
                        sizeof(*published_degrees_.begin()));
+  if (remembered_) {
+    bytes += sizeof(RememberedResponders) + HashMapBytes(remembered_->peers);
+    for (const auto& [key, peer] : remembered_->peers) {
+      bytes += StringHeapBytes(key.bits());
+    }
+  }
   return bytes;
 }
 

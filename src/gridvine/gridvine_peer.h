@@ -152,6 +152,34 @@ class GridVinePeer {
   /// The hasher defining this network's key space.
   const OrderPreservingHash& hasher() const { return hash_; }
 
+  // --- Remembered responders -------------------------------------------------
+
+  /// Most keys one peer remembers a responder for. It holds every set the
+  /// benchmark workloads build (at most 221 keys, peer 0 after
+  /// scale_sharded's bulk load); past that it only bounds the memory.
+  static constexpr size_t kMaxRemembered = 256;
+
+  /// For each key, the peer that last answered a Retrieve, Update or Remove
+  /// this peer sent for it. Every such request of this layer sends its first
+  /// attempt to the remembered peer, if any, and the reply updates the
+  /// memory: it keeps whichever peer answered and forgets the key when the
+  /// request fails. A wrong memory costs time, never an answer: a peer no
+  /// longer responsible forwards the request, and a silent one times out
+  /// and is avoided by the later attempts. Learning a key beyond
+  /// kMaxRemembered forgets an arbitrary other one. Query dispatch does not
+  /// use the memory.
+  struct RememberedResponders {
+    std::unordered_map<Key, NodeId, KeyHash> peers;
+    /// First attempts sent straight to a remembered peer.
+    uint64_t first_hops = 0;
+    /// Those the remembered peer did not answer itself: it forwarded the
+    /// request, or another peer answered a later attempt, or the request
+    /// failed.
+    uint64_t misses = 0;
+  };
+  /// Null until a peer other than this one first answers a request of it.
+  const RememberedResponders* remembered() const { return remembered_.get(); }
+
   // --- Mediation-layer updates ---------------------------------------------
 
   /// Inserts a triple: three overlay updates keyed by the hash of its
@@ -418,6 +446,16 @@ class GridVinePeer {
 
   Key KeyFor(const std::string& term_value) const { return hash_(term_value); }
 
+  /// The one way this layer issues an overlay Retrieve (`op` empty; `value`
+  /// is the value prefix), Update or Remove of `key`: the first attempt goes
+  /// to the peer remembered for `key` (see RememberedResponders).
+  void OverlayRequest(std::optional<UpdateOp> op, const Key& key,
+                      const std::string& value, PGridPeer::ReplyCallback cb);
+  /// Updates the memory from the reply to a request whose first attempt
+  /// went to `first_hop` (kInvalidNode when nothing was remembered).
+  void Remember(const Key& key, NodeId first_hop,
+                const Result<PGridPeer::Reply>& reply);
+
   /// Core engine shared by SearchFor and SearchForConjunctive: resolves one
   /// pattern (with optional reformulation) and hands the accumulated batches
   /// to `on_finish`.
@@ -569,6 +607,8 @@ class GridVinePeer {
   /// DB_p; null until the first triple lands here (most peers at scale
   /// never store one).
   std::unique_ptr<TripleStore> local_db_;
+  /// Null until another peer first answers a request of this one.
+  std::unique_ptr<RememberedResponders> remembered_;
   std::unordered_map<uint64_t, PendingQuery> pending_queries_;
   /// Conjunctive executors in flight, keyed by exec id. shared_ptr so a
   /// finished exec can be kept alive until the stack unwinds (the done

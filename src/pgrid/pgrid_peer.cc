@@ -98,25 +98,27 @@ std::vector<std::string> PGridPeer::Answer(const Key& key,
 // --- Client-side operations -------------------------------------------------
 
 void PGridPeer::Retrieve(const Key& key, ReplyCallback cb,
-                         std::string_view value_prefix) {
+                         std::string_view value_prefix, NodeId first_hop) {
   ++counters_.retrieves_issued;
-  Issue(key, std::string(value_prefix), std::nullopt, std::move(cb));
+  Issue(key, std::string(value_prefix), std::nullopt, std::move(cb),
+        first_hop);
 }
 
 void PGridPeer::Update(const Key& key, const std::string& value,
-                       ReplyCallback cb) {
+                       ReplyCallback cb, NodeId first_hop) {
   ++counters_.updates_issued;
-  Issue(key, value, UpdateOp::kInsert, std::move(cb));
+  Issue(key, value, UpdateOp::kInsert, std::move(cb), first_hop);
 }
 
 void PGridPeer::Remove(const Key& key, const std::string& value,
-                       ReplyCallback cb) {
+                       ReplyCallback cb, NodeId first_hop) {
   ++counters_.updates_issued;
-  Issue(key, value, UpdateOp::kDelete, std::move(cb));
+  Issue(key, value, UpdateOp::kDelete, std::move(cb), first_hop);
 }
 
 void PGridPeer::Issue(const Key& key, std::string value,
-                      std::optional<UpdateOp> op, ReplyCallback cb) {
+                      std::optional<UpdateOp> op, ReplyCallback cb,
+                      NodeId first_hop) {
   const std::string_view span_name =
       !op ? "op.retrieve"
           : (*op == UpdateOp::kInsert ? "op.update" : "op.remove");
@@ -140,11 +142,14 @@ void PGridPeer::Issue(const Key& key, std::string value,
   p.op = op;
   p.started = sim_->Now();
   p.span = StartOpSpan(span_name);
+  if (first_hop != kInvalidNode && p.span.valid()) {
+    LiveTracer()->Annotate(p.span, "remembered", 1.0);
+  }
   pending_.emplace(rid, std::move(p));
-  SendAttempt(rid);
+  SendAttempt(rid, first_hop);
 }
 
-void PGridPeer::SendAttempt(uint64_t request_id) {
+void PGridPeer::SendAttempt(uint64_t request_id, NodeId first_hop) {
   auto it = pending_.find(request_id);
   if (it == pending_.end()) return;
   Pending& p = it->second;
@@ -153,7 +158,9 @@ void PGridPeer::SendAttempt(uint64_t request_id) {
   // consecutive attempts explore disjoint routes, and thereby different
   // members of the destination's replica set σ(p), without ever re-picking
   // a hop this flight already timed out on.
-  auto next = routing_.NextHop(p.key, &rng_, p.tried_hops);
+  auto next = first_hop != kInvalidNode
+                  ? std::optional<NodeId>(first_hop)
+                  : routing_.NextHop(p.key, &rng_, p.tried_hops);
   if (!next.has_value()) {
     // No usable ref right now (all evicted under churn). The attempt is
     // still spent: wait out the backoff — maintenance may refill the level —

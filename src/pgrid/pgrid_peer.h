@@ -84,6 +84,12 @@ class PGridPeer : public NetworkNode {
   PGridPeer& operator=(const PGridPeer&) = delete;
 
   // --- Overlay primitives -------------------------------------------------
+  // Each takes an optional `first_hop`: when valid, the first attempt goes
+  // straight to that peer instead of a routing-table pick (a caller that
+  // remembers who answered for the key last time); later attempts route as
+  // usual and avoid it like any tried hop. A peer that is not responsible
+  // forwards the request as any hop does, so the answer never depends on
+  // it. Ignored when this peer answers locally.
 
   /// Looks up the values stored under `key` (or, for a shorter key, under
   /// any stored key it prefixes) that start with `value_prefix`, in storage
@@ -93,14 +99,17 @@ class PGridPeer : public NetworkNode {
   /// re-attempt re-sends the prefix. Responsible-locally lookups answer
   /// immediately.
   void Retrieve(const Key& key, ReplyCallback cb,
-                std::string_view value_prefix = {});
+                std::string_view value_prefix = {},
+                NodeId first_hop = kInvalidNode);
 
   /// Inserts `value` under `key` at the responsible peer (and its replicas).
   /// Idempotent: an identical (key, value) pair is stored once.
-  void Update(const Key& key, const std::string& value, ReplyCallback cb);
+  void Update(const Key& key, const std::string& value, ReplyCallback cb,
+              NodeId first_hop = kInvalidNode);
 
   /// Deletes the (key, value) pair at the responsible peer (and replicas).
-  void Remove(const Key& key, const std::string& value, ReplyCallback cb);
+  void Remove(const Key& key, const std::string& value, ReplyCallback cb,
+              NodeId first_hop = kInvalidNode);
 
   // --- Extension interface (used by the mediation layer) -------------------
 
@@ -262,10 +271,13 @@ class PGridPeer : public NetworkNode {
                                   std::optional<UpdateOp> op);
 
   /// The one request path: answers locally when this peer is responsible,
-  /// else opens a Pending record and sends the first attempt.
+  /// else opens a Pending record and sends the first attempt (to
+  /// `first_hop` when valid).
   void Issue(const Key& key, std::string value, std::optional<UpdateOp> op,
-             ReplyCallback cb);
-  void SendAttempt(uint64_t request_id);
+             ReplyCallback cb, NodeId first_hop);
+  /// Sends the next attempt: to `first_hop` when valid (attempt 1 only),
+  /// else to a routing-table pick that avoids every tried hop.
+  void SendAttempt(uint64_t request_id, NodeId first_hop = kInvalidNode);
   void ArmTimeout(uint64_t request_id);
   void FailPending(uint64_t request_id, Status status);
   /// Negative response for an outstanding request: re-attempt if the retry

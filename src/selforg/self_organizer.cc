@@ -85,8 +85,20 @@ Status SelfOrganizer::PublishChangedDegrees() {
 }
 
 Result<double> SelfOrganizer::ComputeIndicator() {
-  size_t reader = owners_.empty() ? 0 : owners_.begin()->second;
-  auto records = net_->FetchDomainDegrees(reader, options_.domain);
+  // Any owner can read the registry: try each in turn (peer 0 when none is
+  // registered) until one read succeeds, so one unreachable owner does not
+  // turn the indicator into a failed read.
+  std::vector<size_t> readers;
+  for (const auto& [schema, owner] : owners_) {
+    if (std::find(readers.begin(), readers.end(), owner) == readers.end()) {
+      readers.push_back(owner);
+    }
+  }
+  if (readers.empty()) readers.push_back(0);
+  auto records = net_->FetchDomainDegrees(readers.front(), options_.domain);
+  for (size_t i = 1; i < readers.size() && !records.ok(); ++i) {
+    records = net_->FetchDomainDegrees(readers[i], options_.domain);
+  }
   if (!records.ok()) return records.status();
   if (records->empty()) {
     return Status::NotFound("connectivity registry empty for domain " +

@@ -70,7 +70,8 @@ class SelfOrganizer {
   MappingGraph BuildGraphView();
 
   /// The connectivity indicator from the *registry* (what peers actually
-  /// see), not from an omniscient graph.
+  /// see), not from an omniscient graph. Read through each schema owner in
+  /// name order until one read succeeds.
   Result<double> ComputeIndicator();
 
   struct RoundReport {

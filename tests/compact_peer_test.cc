@@ -223,7 +223,8 @@ TEST(CompactPeerTest, PublishMetricsKeySetIndependentOfFrontends) {
       "gv.frontend.shed",           "gv.frontend.max_queue_depth",
       "gv.frontend.active",         "gv.frontend.queued",
       "gv.batch.items",             "gv.batch.flushes",
-      "gv.batch.answered"};
+      "gv.batch.answered",          "gv.remembered_first_hops",
+      "gv.remembered_misses"};
   EXPECT_EQ(bare, expected);
 
   ASSERT_TRUE(net.InsertTriple(0, T("x:s", "x:p", "v")).ok());

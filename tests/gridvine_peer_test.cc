@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/rng.h"
 #include "gridvine/gridvine_network.h"
+#include "pgrid/pgrid_builder.h"
 
 namespace gridvine {
 namespace {
@@ -679,6 +683,206 @@ TEST_F(GridVineTest, SubsumptionSoundnessSemantics) {
 TEST_F(GridVineTest, CountersTrack) {
   net_.SearchFor(7, OrganismQuery("EMBL#Organism", "%a%"));
   EXPECT_EQ(net_.peer(7)->counters().queries_issued, 1u);
+}
+
+// --- Remembered responders ---------------------------------------------------
+
+/// 24 peers on 16 leaves: eight leaves hold two replicas each. The schema
+/// `name_` lives on such a leaf; peer `issuer_` is outside it and reaches it
+/// in one hop, through either replica.
+class RememberedResponderTest : public ::testing::Test {
+ protected:
+  RememberedResponderTest() : net_(MakeOptions()) {}
+
+  static GridVineNetwork::Options MakeOptions() {
+    GridVineNetwork::Options o;
+    o.num_peers = 24;
+    o.key_depth = 12;
+    o.seed = 3;
+    o.latency = GridVineNetwork::LatencyKind::kConstant;
+    o.latency_param = 0.02;
+    return o;
+  }
+
+  void SetUp() override {
+    for (char c = 'A'; c <= 'Z' && holders_.size() != 2; ++c) {
+      name_ = std::string(1, c) + "em";
+      key_ = net_.peer(0)->hasher()(name_);
+      holders_.clear();
+      for (size_t i = 0; i < net_.size(); ++i) {
+        if (Overlay(i)->IsResponsibleFor(key_)) holders_.push_back(i);
+      }
+    }
+    ASSERT_EQ(holders_.size(), 2u);
+    while (Overlay(issuer_)->IsResponsibleFor(key_)) ++issuer_;
+    // The issuer's only way into the leaf is one of its two replicas.
+    RoutingTable* rt = Overlay(issuer_)->routing();
+    const int level = rt->DivergenceLevel(key_);
+    const RefSpan refs = rt->RefsAt(level);
+    for (NodeId ref : std::vector<NodeId>(refs.begin(), refs.end())) {
+      rt->RemoveRef(ref);
+    }
+    for (size_t h : holders_) ASSERT_TRUE(rt->AddRef(level, NodeId(h)));
+  }
+
+  PGridPeer* Overlay(size_t i) { return net_.peer(i)->overlay(); }
+  GridVinePeer* Issuer() { return net_.peer(issuer_); }
+
+  /// The peer the issuer remembers for the schema's key, or kInvalidNode.
+  NodeId Remembered() {
+    const auto* mem = Issuer()->remembered();
+    if (mem == nullptr) return kInvalidNode;
+    auto it = mem->peers.find(key_);
+    return it == mem->peers.end() ? kInvalidNode : it->second;
+  }
+  /// The other replica of the leaf.
+  NodeId OtherHolder(NodeId holder) {
+    return NodeId(holders_[0]) == holder ? NodeId(holders_[1])
+                                         : NodeId(holders_[0]);
+  }
+  uint64_t Sent() { return net_.network()->stats().messages_sent; }
+
+  GridVineNetwork net_;
+  std::string name_;
+  Key key_;
+  std::vector<size_t> holders_;
+  size_t issuer_ = 0;
+};
+
+TEST_F(RememberedResponderTest, RepeatRequestGoesStraightToTheResponder) {
+  const Schema schema(name_, "dom", {"a"});
+  ASSERT_TRUE(net_.InsertSchema(issuer_, schema).ok());
+  const NodeId responder = Remembered();
+  ASSERT_NE(responder, kInvalidNode);
+  const size_t replicas =
+      Overlay(responder)->routing()->replicas().size();
+  ASSERT_EQ(replicas, 1u);
+
+  // A repeat update: one request and one ack, plus the responder's push to
+  // its replica.
+  uint64_t before = Sent();
+  ASSERT_TRUE(net_.InsertSchema(issuer_, schema).ok());
+  EXPECT_EQ(Sent() - before, 2 + replicas);
+
+  // A repeat retrieve: one request and one reply, answered in one hop.
+  net_.tracer()->Enable();
+  before = Sent();
+  auto fetched = net_.FetchSchema(issuer_, name_);
+  ASSERT_TRUE(fetched.ok()) << fetched.status();
+  EXPECT_EQ(fetched->Serialize(), schema.Serialize());
+  EXPECT_EQ(Sent() - before, 2u);
+  const std::vector<Tracer::Span> spans = net_.tracer()->Snapshot();
+  net_.tracer()->Disable();
+  size_t ops = 0;
+  for (const Tracer::Span& span : spans) {
+    if (span.name != "op.retrieve") continue;
+    ++ops;
+    std::map<std::string, double> notes;
+    for (const auto& a : span.annotations) notes[a.key] = a.number;
+    EXPECT_EQ(notes["hops"], 1.0);
+    EXPECT_EQ(notes["attempts"], 1.0);
+    EXPECT_EQ(notes["remembered"], 1.0);
+  }
+  EXPECT_EQ(ops, 1u);
+  EXPECT_EQ(Remembered(), responder);
+  EXPECT_EQ(Issuer()->remembered()->first_hops, 2u);
+  EXPECT_EQ(Issuer()->remembered()->misses, 0u);
+}
+
+TEST_F(RememberedResponderTest, SilentRememberedPeerIsRoutedAround) {
+  ASSERT_TRUE(net_.InsertSchema(issuer_, Schema(name_, "dom", {"a"})).ok());
+  const NodeId down = Remembered();
+  ASSERT_NE(down, kInvalidNode);
+  net_.SetAlive(down, false);
+  const PGridPeer::Counters before = Overlay(issuer_)->counters();
+
+  auto fetched = net_.FetchSchema(issuer_, name_);
+  ASSERT_TRUE(fetched.ok()) << fetched.status();
+  EXPECT_EQ(fetched->name(), name_);
+  // Attempt 1 went to the silent peer and timed out; attempt 2 avoided it.
+  EXPECT_EQ(Overlay(issuer_)->counters().timeouts - before.timeouts, 1u);
+  EXPECT_EQ(Overlay(issuer_)->counters().retries - before.retries, 1u);
+  EXPECT_EQ(Remembered(), OtherHolder(down));
+  MetricsRegistry& m = net_.CollectMetrics();
+  EXPECT_EQ(m.Counter("gv.remembered_first_hops"), 1u);
+  EXPECT_EQ(m.Counter("gv.remembered_misses"), 1u);
+}
+
+TEST_F(RememberedResponderTest, ReassignedPeerForwardsAndTheAnswerHolds) {
+  const Schema schema(name_, "dom", {"a"});
+  ASSERT_TRUE(net_.InsertSchema(issuer_, schema).ok());
+  const NodeId moved = Remembered();
+  ASSERT_NE(moved, kInvalidNode);
+  // The remembered peer takes over another leaf; its old leaf keeps one
+  // replica, which holds the schema too.
+  size_t elsewhere = 0;
+  while (Overlay(elsewhere)->IsResponsibleFor(key_) || elsewhere == issuer_) {
+    ++elsewhere;
+  }
+  Overlay(moved)->SetPath(Overlay(elsewhere)->path());
+  Rng rng(11);
+  PGridBuilder::WireRouting(net_.overlay_peers(), &rng, 2);
+  ASSERT_FALSE(Overlay(moved)->IsResponsibleFor(key_));
+
+  const uint64_t forwards = Overlay(moved)->counters().forwards;
+  auto fetched = net_.FetchSchema(issuer_, name_);
+  ASSERT_TRUE(fetched.ok()) << fetched.status();
+  EXPECT_EQ(fetched->Serialize(), schema.Serialize());
+  EXPECT_EQ(Overlay(moved)->counters().forwards - forwards, 1u);
+  EXPECT_EQ(Overlay(issuer_)->counters().retries, 0u);
+  EXPECT_EQ(Remembered(), OtherHolder(moved));
+  EXPECT_EQ(Issuer()->remembered()->misses, 1u);
+}
+
+TEST_F(RememberedResponderTest, FailedRequestForgetsItsKey) {
+  ASSERT_TRUE(net_.InsertSchema(issuer_, Schema(name_, "dom", {"a"})).ok());
+  ASSERT_NE(Remembered(), kInvalidNode);
+  for (size_t h : holders_) net_.SetAlive(h, false);
+  auto fetched = net_.FetchSchema(issuer_, name_);
+  EXPECT_TRUE(fetched.status().IsTimeout()) << fetched.status();
+  EXPECT_EQ(Remembered(), kInvalidNode);
+  EXPECT_EQ(Issuer()->remembered()->misses, 1u);
+}
+
+TEST_F(RememberedResponderTest, MemoryNeverGrowsPastItsCap) {
+  // Two-letter names spread over the key space, one key per name.
+  std::set<Key> keys;
+  for (char a = 'a'; a <= 'z'; ++a) {
+    for (char b = 'a'; b <= 'z'; ++b) {
+      const std::string name{a, b};
+      const Key key = Issuer()->hasher()(name);
+      if (Overlay(issuer_)->IsResponsibleFor(key) || !keys.insert(key).second) {
+        continue;
+      }
+      EXPECT_TRUE(net_.FetchSchema(issuer_, name).status().IsNotFound());
+      ASSERT_LE(Issuer()->remembered()->peers.size(),
+                GridVinePeer::kMaxRemembered);
+    }
+  }
+  ASSERT_GT(keys.size(), GridVinePeer::kMaxRemembered + 100);
+  EXPECT_EQ(Issuer()->remembered()->peers.size(),
+            GridVinePeer::kMaxRemembered);
+}
+
+TEST_F(RememberedResponderTest, PeerThatNeverIssuesAllocatesNothing) {
+  EXPECT_EQ(Issuer()->remembered(), nullptr);
+  ASSERT_TRUE(net_.InsertSchema(issuer_, Schema(name_, "dom", {"a"})).ok());
+  ASSERT_TRUE(net_.FetchSchema(issuer_, name_).ok());
+  // Only the issuer has sent requests; the others answered them.
+  ASSERT_NE(Issuer()->remembered(), nullptr);
+  for (size_t i = 0; i < net_.size(); ++i) {
+    if (i != issuer_) {
+      EXPECT_EQ(net_.peer(i)->remembered(), nullptr) << i;
+    }
+  }
+  // A peer answered only by itself learns nothing either.
+  GridVineNetwork::Options o = MakeOptions();
+  o.num_peers = 1;
+  GridVineNetwork lone(o);
+  ASSERT_TRUE(lone.InsertSchema(0, Schema("Rem", "dom", {"a"})).ok());
+  ASSERT_TRUE(lone.InsertTriple(0, T("rem:s", "Rem#a", "v")).ok());
+  ASSERT_TRUE(lone.FetchSchema(0, "Rem").ok());
+  EXPECT_EQ(lone.peer(0)->remembered(), nullptr);
 }
 
 }  // namespace

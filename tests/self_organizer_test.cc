@@ -133,6 +133,31 @@ TEST_F(SelfOrganizerTest, PublishAllDegreesGetsPastAnUnreachableOwner) {
   }
 }
 
+TEST_F(SelfOrganizerTest, IndicatorReadsPastAnUnreachableOwner) {
+  SelfOrganizer::RoundReport last;
+  for (int r = 0; r < 20 && last.scc_fraction_after < 1.0; ++r) {
+    last = organizer_->RunRound();
+  }
+  ASSERT_EQ(last.scc_fraction_after, 1.0);
+  ASSERT_GT(last.ci_after, 0.0);
+
+  // The owner of the first schema by name goes down; the registry is still
+  // readable through the others, so the round sees the same indicator and
+  // has nothing to create.
+  const auto& schemas = workload_.schemas();
+  size_t down = 0;
+  for (size_t s = 1; s < schemas.size(); ++s) {
+    if (schemas[s].name() < schemas[down].name()) down = s;
+  }
+  net_.SetAlive(down, false);
+  const Traffic before = IssuedSoFar();
+  const SelfOrganizer::RoundReport report = organizer_->RunRound();
+  EXPECT_EQ(report.ci_before, last.ci_after);
+  EXPECT_EQ(report.ci_after, last.ci_after);
+  EXPECT_EQ(report.mappings_created, 0u);
+  EXPECT_EQ(IssuedSoFar().queries, before.queries);
+}
+
 TEST_F(SelfOrganizerTest, GraphViewSeesInsertedMappings) {
   ASSERT_TRUE(
       net_.InsertMapping(0, workload_.GroundTruthMapping(0, 1, "m01")).ok());
